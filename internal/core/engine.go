@@ -768,6 +768,7 @@ func (e *Engine) allocate(sel []netlist.CellID) {
 	// the next cell's prep window, so the loop costs three clock reads per
 	// cell instead of four.
 	var prepD, scanD, commitD time.Duration
+	var refTrials uint64
 	tMark := time.Now()
 	prepD = tMark.Sub(tCapture)
 	for own, id := range sel {
@@ -806,6 +807,7 @@ func (e *Engine) allocate(sel []netlist.CellID) {
 					continue
 				}
 				score := e.trialCost(id, e.vacs[v].X, e.vacs[v].Y)
+				refTrials++
 				if best < 0 || score < bestScore {
 					best, bestScore = v, score
 				}
@@ -839,6 +841,7 @@ func (e *Engine) allocate(sel []netlist.CellID) {
 		tMark = t3
 	}
 	e.flushScanStats()
+	e.tel.RefTrials += refTrials
 	e.place.Recompute()
 	commitD += time.Since(tMark)
 	e.tel.AllocPrepNs += uint64(prepD)
@@ -849,7 +852,7 @@ func (e *Engine) allocate(sel []netlist.CellID) {
 	telemetry.AllocSubCommitNs.Observe(int64(commitD))
 }
 
-// flushScanStats folds the per-goroutine ScanBest accumulators (the
+// flushScanStats folds the per-goroutine ScanBestRows accumulators (the
 // serial one plus every pool slot's) into the run snapshot and the
 // process-wide counters — a handful of atomic adds per allocation pass
 // instead of per vacancy.

@@ -11,7 +11,10 @@
 // inputs) and DFF inputs act as path sinks (alongside primary outputs).
 package netlist
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // GateType identifies the logic function of a cell.
 type GateType uint8
@@ -135,7 +138,8 @@ type Circuit struct {
 	// PIs and POs list input and output pad cells; DFFs lists flip-flops.
 	PIs, POs, DFFs []CellID
 
-	movable []CellID // cached list of non-pad cells
+	movableOnce sync.Once
+	movable     []CellID // cached list of non-pad cells, filled once
 }
 
 // Cell returns the cell with the given id.
@@ -151,15 +155,16 @@ func (c *Circuit) NumCells() int { return len(c.Cells) }
 func (c *Circuit) NumNets() int { return len(c.Nets) }
 
 // Movable returns the ids of all placeable (non-pad) cells. The returned
-// slice is cached and must not be modified.
+// slice is cached and must not be modified. The cache fills on first use,
+// safely under concurrent first calls; Cells must not change after that.
 func (c *Circuit) Movable() []CellID {
-	if c.movable == nil {
+	c.movableOnce.Do(func() {
 		for i := range c.Cells {
 			if !c.Cells[i].IsPad() {
 				c.movable = append(c.movable, CellID(i))
 			}
 		}
-	}
+	})
 	return c.movable
 }
 

@@ -34,16 +34,16 @@ var (
 	GoodnessCacheHits   = Default.Counter("simevo_engine_goodness_cache_total", "Goodness-cache lookups by result.", "result", "hit")
 	GoodnessCacheMisses = Default.Counter("simevo_engine_goodness_cache_total", "Goodness-cache lookups by result.", "result", "miss")
 
-	// ScanBest prune statistics (allocation inner loop).
-	ScanVacancies    = Default.Counter("simevo_scan_vacancies_total", "Vacancy candidates visited by ScanBest.")
-	ScanPrunedBBox   = Default.Counter("simevo_scan_pruned_total", "ScanBest candidates pruned, by mechanism.", "by", "bbox_precheck")
-	ScanPrunedSuffix = Default.Counter("simevo_scan_pruned_total", "ScanBest candidates pruned, by mechanism.", "by", "suffix_bound")
-	ScanBailedExact  = Default.Counter("simevo_scan_pruned_total", "ScanBest candidates pruned, by mechanism.", "by", "exact_prefix")
+	// ScanBestRows prune statistics (allocation inner loop).
+	ScanVacancies    = Default.Counter("simevo_scan_vacancies_total", "Vacancy candidates visited by ScanBestRows.")
+	ScanPrunedBBox   = Default.Counter("simevo_scan_pruned_total", "ScanBestRows candidates pruned, by mechanism.", "by", "bbox_precheck")
+	ScanPrunedSuffix = Default.Counter("simevo_scan_pruned_total", "ScanBestRows candidates pruned, by mechanism.", "by", "suffix_bound")
+	ScanBailedExact  = Default.Counter("simevo_scan_pruned_total", "ScanBestRows candidates pruned, by mechanism.", "by", "exact_prefix")
 	// bucket_skip counts candidates never visited at all: vacancies inside
 	// whole rows or bucket tails the sharded scan discarded wholesale.
-	ScanSkippedBucket = Default.Counter("simevo_scan_pruned_total", "ScanBest candidates pruned, by mechanism.", "by", "bucket_skip")
+	ScanSkippedBucket = Default.Counter("simevo_scan_pruned_total", "ScanBestRows candidates pruned, by mechanism.", "by", "bucket_skip")
 	ScanRowsVisited   = Default.Counter("simevo_scan_rows_visited_total", "Row buckets entered by the sharded vacancy scan.")
-	ScanScored        = Default.Counter("simevo_scan_scored_total", "ScanBest candidates fully scored (survived every prune).")
+	ScanScored        = Default.Counter("simevo_scan_scored_total", "ScanBestRows candidates fully scored (survived every prune).")
 
 	// cost.Objective pipeline: full rebuilds vs incremental updates vs
 	// incremental calls that fell back to a full rebuild internally.

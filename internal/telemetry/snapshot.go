@@ -36,6 +36,11 @@ type EngineSnapshot struct {
 	ScanSkippedBucket uint64 `json:"scan_skipped_bucket"`
 	ScanRowsVisited   uint64 `json:"scan_rows_visited"`
 
+	// RefTrials counts the reference mode's (DisableIncremental) allocation
+	// trials: every width-feasible vacancy scored from scratch, with no
+	// pruning. Its incremental-mode counterpart is ScanScored.
+	RefTrials uint64 `json:"ref_trials"`
+
 	CostFull          uint64 `json:"cost_full"`
 	CostDirty         uint64 `json:"cost_dirty"`
 	CostDirtyFallback uint64 `json:"cost_dirty_fallback"`
@@ -74,6 +79,7 @@ func (s *EngineSnapshot) Counters() map[string]uint64 {
 		"scan_scored":         s.ScanScored,
 		"scan_skipped_bucket": s.ScanSkippedBucket,
 		"scan_rows_visited":   s.ScanRowsVisited,
+		"ref_trials":          s.RefTrials,
 		"cost_full":           s.CostFull,
 		"cost_dirty":          s.CostDirty,
 		"cost_dirty_fallback": s.CostDirtyFallback,

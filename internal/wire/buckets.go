@@ -6,7 +6,7 @@ package wire
 //
 // The structure separates the static sort from the dynamic occupancy: the
 // per-row ordering is built once per allocation pass (the vacancy set is
-// fixed after capture), and the commit/free journal only flips per-slot
+// fixed after capture), and the commit journal only flips per-slot
 // liveness bits — O(1) per operation, so maintaining the buckets while
 // cells take slots costs nothing against the O(|S|²) trial scans they
 // accelerate. Dead (committed) entries stay in place and are skipped
@@ -96,36 +96,12 @@ func (b *VacancyBuckets) Commit(v int32) {
 	b.total--
 }
 
-// Free revives vacancy v (journal op, O(1)). The engine's allocation pass
-// only commits — each selected cell consumes one vacancy — but the journal
-// is symmetric so callers undoing a speculative commit need no rebuild.
-func (b *VacancyBuckets) Free(v int32) {
-	p := b.pos[v]
-	if b.live[p] {
-		return
-	}
-	b.live[p] = true
-	b.rowN[b.rowAt[p]]++
-	b.total++
-}
-
 // Live returns the number of free vacancies across all rows.
 func (b *VacancyBuckets) Live() int { return b.total }
 
-// LiveInRow returns the number of free vacancies in one row.
-func (b *VacancyBuckets) LiveInRow(row int) int { return int(b.rowN[row]) }
-
-// Rows returns the row count the buckets were built with.
-func (b *VacancyBuckets) Rows() int { return len(b.rowN) }
-
-// RowSpan returns the static position range [lo, hi) of one row's bucket.
-func (b *VacancyBuckets) RowSpan(row int) (lo, hi int) {
-	return int(b.start[row]), int(b.start[row+1])
-}
-
 // SeekGE returns the first position in row whose x is >= x (the region end
 // when every vacancy sits left of x). Positions include dead entries;
-// callers skip them via Alive.
+// the walks skip them via the liveness bits.
 func (b *VacancyBuckets) SeekGE(row int, x float64) int {
 	lo, hi := int(b.start[row]), int(b.start[row+1])
 	for lo < hi {
@@ -138,15 +114,6 @@ func (b *VacancyBuckets) SeekGE(row int, x float64) int {
 	}
 	return lo
 }
-
-// Alive reports whether the vacancy at position p is still free.
-func (b *VacancyBuckets) Alive(p int) bool { return b.live[p] }
-
-// At returns the vacancy index at position p.
-func (b *VacancyBuckets) At(p int) int32 { return b.order[p] }
-
-// XAt returns the x coordinate at position p.
-func (b *VacancyBuckets) XAt(p int) float64 { return b.xs[p] }
 
 func resizeBools(s []bool, n int) []bool {
 	if cap(s) < n {

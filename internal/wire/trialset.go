@@ -38,48 +38,47 @@ type TrialSet struct {
 	memo     []float64 // per (item, class): [ySpanExt|0, yBranch|ySpanExt]
 	filled   []bool    // per (item, class)
 
-	// tail[i] = Σ_{j>=i} w_j · storedSpan_j: a lower bound on the weighted
-	// cost of items i.. for ANY candidate, since every trial with stored
-	// pins is at least the stored pins' half-perimeter — bbox and trunk
-	// trials by construction, and RMST trials because any spanning
-	// structure over the merged pin set must cover the merged extent on
-	// each axis (Σ|dx| over the tree's edges is at least the x span along
-	// the leftmost-to-rightmost path, likewise for y), so
-	// RMST(stored ∪ candidate) >= merged half-perimeter >= storedSpan.
-	// Only empty nets contribute 0. ScanBest adds tail[i+1] to the partial
-	// cost when bailing, pruning vacancies whose suffix could never fit
-	// under the bound — deflated by scanSlack so float reassociation
-	// cannot turn the estimate into an over-prune; see scanSlack.
-	tail []float64
-
-	// Row-sharded scan state (PrepareScan). rowTail[r*stride + i] is the
-	// per-row sharpening of tail: Σ_{j>=i} w_j · (storedSpan_j + yPen_j(r)),
-	// where yPen_j(r) is the y-extension the row's centerline forces on the
-	// stored pins' bbox — a lower bound on the weighted cost of items i..
-	// for ANY candidate in row r (every trial with stored pins is at least
-	// the stored half-perimeter extended by the candidate — see tail for
-	// the RMST argument; empty nets contribute 0). The weights embed the
-	// active objective scores — in wpd mode the cached per-net timing
-	// criticality, in wpc/wpdc mode the congestion grid's per-net demand
-	// score — so the bound is criticality- and congestion-aware: hot nets
-	// carry inflated weights and their bound mass prunes proportionally
-	// harder, which is what keeps wpd/wpdc scans pruning like wp scans.
-	// Columns fill lazily, one row on first walk (ensureRowTail): the
-	// outward row iteration cuts most rows before their suffix column is
-	// ever needed, and the chunked parallel scan partitions rows, so the
-	// lazy fill touches disjoint memory per worker.
+	// Row-sharded scan state (PrepareScan). rowTail[r*stride + i] lower-
+	// bounds the weighted cost of items i.. for ANY candidate in row r,
+	// apart from the x penalty the walk tracks separately (xRem, below):
+	// Σ_{j>=i} w_j · floor_j(r), where
+	//   - a bbox item's floor is storedSpanX + ySpanExt(r), its exact cost
+	//     short of the x extension;
+	//   - a trunk item's floor is storedSpanX + min(yBranch(r),
+	//     ySpanExt(r) + dX), the trunk branch floor: the horizontal trunk
+	//     costs spanX(x) + yBranch(r), the vertical one ySpanExt(r) +
+	//     xBranch(x) ≥ ySpanExt(r) + spanX(x) + dX (compiledTrial.dX), and
+	//     spanX(x) ≥ storedSpanX + xPen(x);
+	//   - an RMST item with stored pins takes the bbox floor: any spanning
+	//     structure over the merged pins covers the merged extent on each
+	//     axis (Σ|dx| over the tree's edges is at least the x span along
+	//     the leftmost-to-rightmost path, likewise for y), so
+	//     RMST(stored ∪ candidate) >= merged half-perimeter;
+	//   - empty nets and boxless RMST items contribute 0.
+	// The weights embed the active objective scores — in wpd mode the
+	// cached per-net timing criticality, in wpc/wpdc mode the congestion
+	// grid's per-net demand score — so the bound is criticality- and
+	// congestion-aware: hot nets carry inflated weights and their bound
+	// mass prunes proportionally harder, which is what keeps wpd/wpdc
+	// scans pruning like wp scans. Columns fill lazily, one row on first
+	// walk (ensureRowTail): the outward row iteration cuts most rows before
+	// their suffix column is ever needed, and the chunked parallel scan
+	// partitions rows, so the lazy fill touches disjoint memory per worker.
 	rowTail  []float64
 	rowReady []bool
 	// rowLB[r] = C + Σ w_j · yPen_j(y_r), the whole-trial lower bound at
-	// row r's centerline (C = Σ w_j · storedSpan_j), computed for every
-	// row by an O(rows + items) breakpoint sweep: the y-penalty envelope
-	// is convex piecewise-linear in y, so integrating its slope across
-	// the sorted row centerlines reproduces the per-row sums with a few
-	// flops per row instead of O(items). The sweep's accumulated rounding
-	// is absorbed by scanSlack like any other reassociation error. When
-	// even rowLB[r] (deflated) reaches the running bound, ScanBestRows
-	// skips the whole row bucket; anchorRow is the argmin — the most
-	// promising row, where the outward row iteration starts.
+	// row r's centerline, with C = Σ w_j · compiledTrial.floor() — the
+	// stored half-perimeters plus, for trunk items, min(dX, dY): a trunk
+	// costs at least spanX(x) + ySpanExt(r) + min(dX, dY), since yBranch ≥
+	// ySpanExt + dY and xBranch ≥ spanX + dX. Computed for every row by an
+	// O(rows + items) breakpoint sweep: the y-penalty envelope is convex
+	// piecewise-linear in y, so integrating its slope across the sorted
+	// row centerlines reproduces the per-row sums with a few flops per row
+	// instead of O(items). The values are lowered by the sweep's rounding
+	// bound (sweepMargin; see scanSlack). When even rowLB[r] (deflated)
+	// reaches the running bound, ScanBestRows skips the whole row bucket;
+	// anchorRow is the argmin — the most promising row, where the outward
+	// row iteration starts.
 	rowLB     []float64
 	rowY      []float64
 	anchorRow int
@@ -118,29 +117,77 @@ type TrialSet struct {
 	// evaluates the envelope in O(1) given the segment index, turning the
 	// per-vacancy O(items) penalty loop into a monotone cursor walk. The
 	// segment values are themselves a breakpoint sweep, so like rowLB they
-	// are reassociated sums of the same nonnegative terms — every compare
-	// against them stays deflated by scanSlack, which dwarfs the sweep's
-	// accumulated rounding.
+	// are lowered by the sweep margin, and every compare against them
+	// stays deflated by scanSlack.
 	xbp, xbv, xbs []float64
 	xTotW         float64
+	// Per-cell envelope constants (buildEnvelope) that spare the walks
+	// their binary searches: anchorSeg = envSeg(anchorX) seeds both in-row
+	// segment cursors (the right walk starts at x ≥ anchorX, the left one
+	// below it), and xlbCut = xLB(xCutLo) is the envelope minimum every row
+	// whose x range contains xCutLo shares.
+	anchorSeg int
+	xlbCut    float64
 }
 
-// scanSlack deflates the estimate-based prune thresholds of ScanBest.
-// The suffix bound compares cost + tail[i+1] against the running bound,
-// but tail is a *reassociated* float sum: it can exceed the true
-// sequentially-rounded remaining cost by a few ULPs (and the per-item
-// trial arithmetic itself carries ~1e-14 relative error), so an exact
-// comparison could prune a vacancy whose true cost is a hair below the
-// bound — observed with the nextafter-seeded own-slot bound, where the
-// rightful winner sits exactly 1 ULP under it and a wrong prune drops
-// the scan into the width-violation fallback. Scaling the estimate down
-// by 1e-12 (about 100× the worst accumulated rounding error for any
-// realistic net count, and far below any score difference that could
-// matter) makes the prune sound: estimate·scanSlack >= bound implies the
-// true cost >= bound, so only genuine non-winners are skipped and the
-// winner is bitwise the brute-force scan's. Prefix-only bails
-// (cost >= bound over the already-accumulated exact terms) need no slack.
+// scanSlack deflates the estimate-based prune thresholds of ScanBestRows.
+// Every suffix bound (rowTail; rowLB and the x envelope up to the sweep
+// error below) is a *reassociated* float sum of nonnegative terms: it can
+// exceed the sequentially-rounded
+// cost of the same terms by a few ULPs (and the per-item trial arithmetic
+// itself carries ~1e-14 relative error), so an exact comparison could
+// prune a vacancy whose true cost is a hair below the bound — observed
+// with the nextafter-seeded own-slot bound, where the rightful winner sits
+// exactly 1 ULP under it and a wrong prune drops the scan into the
+// width-violation fallback. Scaling the estimate down by 1e-12 (about 100×
+// the worst accumulated rounding error for any realistic net count, and
+// far below any score difference that could matter) makes the prune
+// sound: estimate·scanSlack >= bound implies the true cost >= bound, so
+// only genuine non-winners are skipped and the winner is bitwise the
+// brute-force scan's. Prefix-only bails (cost >= bound over the
+// already-accumulated exact terms) need no slack.
+//
+// The slack is relative, so it only covers relative error. The one
+// absolute error in the trial cost is the cancellation in a trunk's
+// branch sums: branchSumAt subtracts prefix sums, and its error grows
+// with pin count times coordinate magnitude, not with the result. It can
+// push a computed xBranch below the true Σ|v−med| — by up to
+// 3k²·u·M + 12k·u·M for k stored pins of magnitude ≤ M (u = 2⁻⁵³: the
+// prefix sums each err by at most k²·u·M, the products and differences
+// by a few k·u·M). The branch floors therefore carry their own absolute
+// margin: dX and dY (compiledTrial) are computed from the same prefix
+// sums, erring by at most 4k²·u·M + 3k·u·M, and then lowered by
+// branchFloorMargin·(k+4)²·M = 16·u·(k+4)²·M, which exceeds both errors
+// together (7k² + 15k < 16(k+4)²) with room for the final additions'
+// relative rounding. So the floors pay for their cancellation with their
+// own margin, and scanSlack is left with the relative error it was sized
+// for.
+// The margin applies even when the gaps sum to 0 (a negative floor); that
+// also covers the plain stored-span bound, which the same cancellation
+// could otherwise overshoot by a few ULPs.
+//
+// The breakpoint sweeps behind rowLB and the x envelope have absolute
+// error too: they integrate slope·Δ from one end of a convex envelope, so
+// a value near the envelope's minimum inherits rounding from the largest
+// values swept past. With F the largest swept value (an end value, by
+// convexity), n sweep steps and k items, each step rounds by at most
+// u·(F + |slope·Δ|), the steps' |slope·Δ| sum to at most the total
+// variation 2F, the k-term start value and the accumulated slope (error
+// k·u·W, times a range R with W·R ≤ 2F + C) add k·u·(3F + C). So the
+// error stays below u·(n + 3k + 4)·(F + C), and PrepareScan lowers both
+// sweeps by sweepMargin·(n + 3k + 8)·(F + C), eight times that. Without
+// it, a vacancy of trial cost exactly 0 (every stored pin of every net at
+// the candidate) could see a sweep bound of a few 1e-14 and be pruned.
 const scanSlack = 1 - 1e-12
+
+// branchFloorMargin is 16·u (u = 2⁻⁵³, the float64 unit roundoff): the
+// per-(k+4)²·M cancellation margin of the trunk branch floors; see
+// scanSlack.
+const branchFloorMargin = 0x1p-49
+
+// sweepMargin is 8·u: the per-step, per-(F + C) margin of the rowLB and x
+// envelope sweeps; see scanSlack.
+const sweepMargin = 0x1p-50
 
 type trialKind uint8
 
@@ -183,7 +230,45 @@ type compiledTrial struct {
 	// by both axes.
 	ix0, iy0, ixMid int32
 
+	// Trunk: branch floors. Over the merged order statistics t_1..t_m of
+	// the stored pins plus the candidate, Σ|t_i − med| ≥ Σ_{i≤m/2}
+	// (t_{m+1−i} − t_i) for any med: the i = 1 pair is the merged span,
+	// and inserting one point keeps t_i ∈ [s_{i−1}, s_i] over the k
+	// stored values s, so each inner pair is at least s_{k+1−i} − s_i. So
+	// xBranch(x) − spanX(x) ≥ Σ_{i=2}^{⌊(k+1)/2⌋} (s_{k+1−i} − s_i) for
+	// every candidate x, and likewise for y. dX and dY hold these sums
+	// less the cancellation margin (see scanSlack), so they may be
+	// slightly negative; branchFloor computes them.
+	dX, dY float64
+
 	net netlist.NetID // trialRMST
+}
+
+// floor is the item's location-independent unweighted cost floor: the
+// stored pins' half-perimeter, plus min(dX, dY) for a trunk (a trunk costs
+// at least spanX(x) + ySpanExt + min(dX, dY) at any candidate; see
+// TrialSet.rowLB). Items without a box contribute 0.
+func (it *compiledTrial) floor() float64 {
+	if !it.hasBox {
+		return 0
+	}
+	f := (it.maxX - it.minX) + (it.maxY - it.minY)
+	if it.kind == trialTrunk {
+		f += math.Min(it.dX, it.dY)
+	}
+	return f
+}
+
+// branchFloor returns Σ_{i=2}^{h} (s_{k+1−i} − s_i), h = ⌊(k+1)/2⌋, over
+// the k sorted values v (1-indexed s) with prefix sums p, less the
+// cancellation margin branchFloorMargin·(k+4)²·mag. The closed form reads
+// four prefix sums, so the floors cost O(1) per trunk item: in 0-indexed
+// terms the upper values are v[k−h..k−2] and the lower ones v[1..h−1].
+func branchFloor(v, p []float64, mag float64) float64 {
+	k := len(v)
+	h := (k + 1) / 2
+	d := (p[k-1] - p[k-h]) - (p[h] - p[1])
+	return d - branchFloorMargin*float64((k+4)*(k+4))*mag
 }
 
 // CompileTrials fills dst with the trial records for the given nets and
@@ -234,18 +319,11 @@ func (inc *Incremental) CompileTrials(dst *TrialSet, nets []netlist.NetID, weigh
 			}
 			it.ix0 = int32(sort.SearchFloat64s(g.xv, it.ax0))
 			it.iy0 = int32(sort.SearchFloat64s(g.yv, it.ay0))
+			mag := math.Max(math.Max(-it.minX, it.maxX), math.Max(-it.minY, it.maxY))
+			it.dX = branchFloor(g.xv, g.xp, mag)
+			it.dY = branchFloor(g.yv, g.yp, mag)
 		}
 		dst.items = append(dst.items, it)
-	}
-	dst.tail = resizeFloats(dst.tail, len(dst.items)+1)
-	acc := 0.0
-	dst.tail[len(dst.items)] = 0
-	for i := len(dst.items) - 1; i >= 0; i-- {
-		it := &dst.items[i]
-		if it.hasBox {
-			acc += ((it.maxX - it.minX) + (it.maxY - it.minY)) * it.w
-		}
-		dst.tail[i] = acc
 	}
 	dst.yClasses = yClasses
 	if yClasses > 0 {
@@ -264,29 +342,15 @@ func (inc *Incremental) CompileTrials(dst *TrialSet, nets []netlist.NetID, weigh
 	}
 }
 
-// PrefillClasses eagerly computes every per-class memo entry. Required
-// before concurrent Score/ScoreBounded calls (lazy filling is not
-// goroutine-safe); the parallel vacancy scanner calls it once per cell.
-func (t *TrialSet) PrefillClasses(yOf func(class int) float64) {
-	for i := range t.items {
-		if t.items[i].kind != trialTrunk {
-			continue
-		}
-		for c := 0; c < t.yClasses; c++ {
-			t.fillClass(i, c, yOf(c))
-		}
-	}
-}
-
 // PrepareScan computes the row-sharded prune state ScanBestRows consumes:
 // the per-row suffix bounds rowTail (see the field comment) and the
 // leading-item anchor/x-interval. yOf maps a row to its centerline y and
 // must reproduce the candidates' y bit for bit (the engine passes
 // layout.RowY); rows must cover every candidate row. O(items·rows) — noise
 // against the O(items·vacancies) scan it accelerates. Call after
-// CompileTrials and before any ScanBestRows; the state is read-only during
-// scans, so concurrent row-chunked scanning needs no further setup beyond
-// PrefillClasses.
+// CompileTrials and before any ScanBestRows. Apart from the lazily filled
+// per-row columns (disjoint per row), the state is read-only during scans,
+// so concurrent row-chunked scanning needs no further setup.
 func (t *TrialSet) PrepareScan(yOf func(class int) float64, rows int) {
 	stride := len(t.items) + 1
 	t.rowTail = resizeFloats(t.rowTail, rows*stride)
@@ -300,7 +364,7 @@ func (t *TrialSet) PrepareScan(yOf func(class int) float64, rows int) {
 	}
 
 	// Compile the x-penalty envelope, the walk anchor, and the constant
-	// part C = Σ w_j · storedSpan_j of the per-row bound.
+	// part C = Σ w_j · floor_j of the per-row bound (see rowLB).
 	t.xlo, t.xhi, t.xw = t.xlo[:0], t.xhi[:0], t.xw[:0]
 	t.ylo, t.yhi = t.ylo[:0], t.yhi[:0]
 	t.anchorX = math.Inf(-1) // seek to the region start: right walk covers all
@@ -315,7 +379,7 @@ func (t *TrialSet) PrepareScan(yOf func(class int) float64, rows int) {
 		t.xw = append(t.xw, it.w)
 		t.ylo = append(t.ylo, it.minY)
 		t.yhi = append(t.yhi, it.maxY)
-		c += ((it.maxX - it.minX) + (it.maxY - it.minY)) * it.w
+		c += it.floor() * it.w
 	}
 	t.hasPrune = len(t.xw) > 0
 	if !t.hasPrune {
@@ -335,24 +399,25 @@ func (t *TrialSet) PrepareScan(yOf func(class int) float64, rows int) {
 	t.anchorX = (t.xCutLo + t.xCutHi) / 2
 	// The x events are still sorted in evp/evw: fold them into the
 	// piecewise-linear envelope the walks evaluate per vacancy.
-	t.buildEnvelope()
+	t.buildEnvelope(c)
 	// Same for the y envelope, which also drives the rowLB sweep below.
 	t.yCutLo, t.yCutHi = t.cutInterval(t.ylo, t.yhi)
 
 	// Sweep the convex y-penalty envelope across the row centerlines:
 	// rowLB[r] = C + f(y_r) with f integrated breakpoint to breakpoint.
 	// The sorted (position, weight) breakpoints are still in evp/evw from
-	// cutInterval; slope starts at -Σw left of every interval.
-	slope, f := 0.0, 0.0
-	y0 := t.rowY[0]
+	// cutInterval; slope starts at -Σw left of every interval. f at the
+	// last row, computed directly, is the other end value the sweep margin
+	// needs; C absorbs the margin, so every row comes out lowered by it
+	// (see scanSlack).
+	slope, f, fEnd := 0.0, 0.0, 0.0
+	y0, yEnd := t.rowY[0], t.rowY[rows-1]
 	for j, w := range t.xw {
 		slope -= w
-		if lo := t.ylo[j]; y0 < lo {
-			f += w * (lo - y0)
-		} else if hi := t.yhi[j]; y0 > hi {
-			f += w * (y0 - hi)
-		}
+		f += w * intervalDist(y0, t.ylo[j], t.yhi[j])
+		fEnd += w * intervalDist(yEnd, t.ylo[j], t.yhi[j])
 	}
+	c -= sweepMargin * float64(rows+len(t.evp)+3*len(t.xw)+8) * (c + math.Max(f, fEnd))
 	k := 0
 	for k < len(t.evp) && t.evp[k] <= y0 {
 		slope += t.evw[k]
@@ -378,6 +443,17 @@ func (t *TrialSet) PrepareScan(yOf func(class int) float64, rows int) {
 			t.anchorRow = r
 		}
 	}
+}
+
+// intervalDist returns the distance from p to the interval [lo, hi].
+func intervalDist(p, lo, hi float64) float64 {
+	if p < lo {
+		return lo - p
+	}
+	if p > hi {
+		return p - hi
+	}
+	return 0
 }
 
 // cutInterval sorts the prunable items' interval endpoints along one axis
@@ -427,23 +503,34 @@ func (t *TrialSet) cutInterval(los, his []float64) (cutLo, cutHi float64) {
 // buildEnvelope folds the sorted x events left in evp/evw by cutInterval
 // into the piecewise-linear form of xLB(x) = Σ w_j · dist(x, [xlo_j,
 // xhi_j]): deduplicated breakpoints xbp, the envelope value at each
-// breakpoint xbv, and the slope of the segment to its right xbs. The
-// value sweep integrates slope·Δx breakpoint to breakpoint — the same
-// reassociation the rowLB sweep performs along y — so consumers must
-// treat envAt results as scanSlack-deflated estimates, never exact sums.
-func (t *TrialSet) buildEnvelope() {
+// breakpoint xbv, and the slope of the segment to its right xbs — plus the
+// per-cell walk constants anchorSeg and xlbCut, so it must run after the
+// cut interval and anchorX are set. The value sweep integrates slope·Δx
+// breakpoint to breakpoint — the same reassociation the rowLB sweep
+// performs along y — so the values are lowered by the sweep margin and
+// consumers must treat envAt results as scanSlack-deflated estimates,
+// never exact sums (see scanSlack). c is the cell's constant C, which
+// bounds the intervals' total weighted length.
+func (t *TrialSet) buildEnvelope(c float64) {
 	t.xbp, t.xbv, t.xbs = t.xbp[:0], t.xbv[:0], t.xbs[:0]
 	total := 0.0
 	for _, w := range t.xw {
 		total += w
 	}
 	t.xTotW = total
-	b0 := t.evp[0]
-	f := 0.0
+	// The sweep starts at the leftmost endpoint b0; the value at the
+	// rightmost, computed directly, is the other end value the sweep
+	// margin needs. Every stored value is lowered by that margin (see
+	// scanSlack); envAt extrapolates from them, so it inherits the shift.
+	b0, bEnd := t.evp[0], t.evp[len(t.evp)-1]
+	f, fEnd := 0.0, 0.0
 	for j, w := range t.xw {
 		f += w * (t.xlo[j] - b0) // b0 = min endpoint ≤ every xlo
+		fEnd += w * (bEnd - t.xhi[j])
 	}
+	eps := sweepMargin * float64(len(t.evp)+3*len(t.xw)+8) * (math.Max(f, fEnd) + c)
 	slope, prev := -total, b0
+	t.anchorSeg = -1
 	for i := 0; i < len(t.evp); {
 		p := t.evp[i]
 		f += slope * (p - prev)
@@ -452,9 +539,17 @@ func (t *TrialSet) buildEnvelope() {
 			i++
 		}
 		t.xbp = append(t.xbp, p)
-		t.xbv = append(t.xbv, f)
+		t.xbv = append(t.xbv, f-eps)
 		t.xbs = append(t.xbs, slope)
 		prev = p
+		// anchorSeg ends as envSeg(anchorX); xCutLo is a breakpoint, so
+		// the envelope there is exactly its stored value.
+		if p <= t.anchorX {
+			t.anchorSeg = len(t.xbp) - 1
+		}
+		if p == t.xCutLo {
+			t.xlbCut = f - eps
+		}
 	}
 }
 
@@ -480,12 +575,12 @@ func (t *TrialSet) envAt(seg int, x float64) float64 {
 
 // ensureRowTail fills row's suffix column of rowTail on first use, at full
 // sharpness: a bbox item contributes its exact y half (extended span), and
-// a trunk item contributes storedSpanX + min(yBranch, ySpanExt) — both
-// memoized per row, and both valid lower bounds on the trunk cost, since
-// the horizontal orientation costs spanX(x) + yBranch ≥ storedSpanX +
-// xPen + yBranch and the vertical one ySpanExt + xBranch ≥ ySpanExt +
-// storedSpanX + xPen (the x branch sum is at least the merged x span).
-// The xPen part is tracked separately by the walk's envelope (xRem).
+// a trunk item storedSpanX + min(yBranch, ySpanExt + dX) — both memoized
+// per row, and both valid lower bounds on the trunk cost, since the
+// horizontal orientation costs spanX(x) + yBranch ≥ storedSpanX + xPen +
+// yBranch and the vertical one ySpanExt + xBranch ≥ ySpanExt + storedSpanX
+// + xPen + dX (the branch floor; see compiledTrial.dX). The xPen part is
+// tracked separately by the walk's envelope (xRem).
 // Filling the column also warms the trunk y-memo the scoring loop uses.
 // Safe under the chunked parallel scan: rows are partitioned across
 // workers, so each column (and its ready bit) is touched by exactly one
@@ -522,8 +617,8 @@ func (t *TrialSet) ensureRowTail(row int) {
 				t.fillClass(i, row, y)
 			}
 			yMin := t.memo[2*slot] // y branch total (horizontal trunk)
-			if s := t.memo[2*slot+1]; s < yMin {
-				yMin = s // extended y span (vertical trunk)
+			if s := t.memo[2*slot+1] + it.dX; s < yMin {
+				yMin = s // extended y span plus the x branch floor (vertical)
 			}
 			acc += ((it.maxX - it.minX) + yMin) * it.w
 		}
@@ -704,14 +799,14 @@ func clampMed(c, lo, hi float64) float64 {
 	return c
 }
 
-// Vacancy is one candidate slot for ScanBest: physical center plus the
+// Vacancy is one candidate slot for ScanBestRows: physical center plus the
 // row, which doubles as the y memo class.
 type Vacancy struct {
 	X, Y float64
 	Row  int32
 }
 
-// ScanStats tallies where ScanBest spends (and saves) work: how many
+// ScanStats tallies where ScanBestRows spends (and saves) work: how many
 // candidates it visited, how many each prune mechanism discarded, and
 // how many survived to a full score. Accumulation is plain arithmetic —
 // callers own one ScanStats per goroutine and fold them into telemetry
@@ -737,165 +832,6 @@ func (s *ScanStats) Merge(o *ScanStats) {
 	s.RowsVisited += o.RowsVisited
 }
 
-// ScanBest runs the full vacancy scan for the compiled cell over
-// free[lo:hi] — the ascending indices of still-free vacancies — skipping
-// width-infeasible rows, scoring the rest with the bounded early exit, and
-// returning the first vacancy index holding the strictly smallest score
-// (-1 if none is admissible under bound0). One call replaces the per-
-// vacancy ScoreBounded calls — this is the innermost allocation loop, so
-// the scoring is inlined here; the equivalence test pins it bitwise to the
-// ScoreBounded loop it replaces. The memo must be compiled with yClasses
-// covering every row. A serial caller may leave the memo cold — classes
-// fill lazily on first use, so rows no vacancy sits in are never computed.
-// Concurrent chunked use must PrefillClasses first (lazy filling is not
-// goroutine-safe) and needs one View per goroutine. st (which may be
-// nil) collects prune statistics with plain increments; it changes no
-// comparison, so the winner and the trajectory are bitwise unaffected.
-func (t *TrialSet) ScanBest(view *View, vacs []Vacancy, free []int32,
-	rowOK []bool, lo, hi int, bound0 float64, st *ScanStats) (int, float64) {
-	if st == nil {
-		st = new(ScanStats)
-	}
-	best, bound := -1, bound0
-	items := t.items
-	// Bbox pre-check on the leading net: any trial with stored pins —
-	// bbox, trunk, or RMST — is bounded below by the half-perimeter of the
-	// stored pins extended by the candidate, and items 1.. are bounded
-	// below by tail[1]. When even that sum reaches the current bound the
-	// vacancy is skipped before any full evaluation. Pruned vacancies are
-	// exactly ones the bounded scan would have discarded (their true cost
-	// is >= the bound), so the winner — and the trajectory — is untouched.
-	tail := t.tail
-	prune := false
-	var pruneW, tail1, minX0, maxX0, minY0, maxY0 float64
-	if len(items) > 0 && items[0].hasBox {
-		it := &items[0]
-		prune, pruneW, tail1 = true, it.w, tail[1]
-		minX0, maxX0, minY0, maxY0 = it.minX, it.maxX, it.minY, it.maxY
-	}
-scan:
-	for _, v32 := range free[lo:hi] {
-		v := int(v32)
-		row := vacs[v].Row
-		if !rowOK[row] {
-			continue
-		}
-		x, y := vacs[v].X, vacs[v].Y
-		st.Vacancies++
-		if prune {
-			lox, hix, loy, hiy := minX0, maxX0, minY0, maxY0
-			if x < lox {
-				lox = x
-			}
-			if x > hix {
-				hix = x
-			}
-			if y < loy {
-				loy = y
-			}
-			if y > hiy {
-				hiy = y
-			}
-			if (((hix-lox)+(hiy-loy))*pruneW+tail1)*scanSlack >= bound {
-				st.PrunedBBox++
-				continue
-			}
-		}
-		yClass := int(row)
-		cost := 0.0
-		for i := range items {
-			it := &items[i]
-			switch it.kind {
-			case trialBBox:
-				lox, hix, loy, hiy := it.minX, it.maxX, it.minY, it.maxY
-				if x < lox {
-					lox = x
-				}
-				if x > hix {
-					hix = x
-				}
-				if y < loy {
-					loy = y
-				}
-				if y > hiy {
-					hiy = y
-				}
-				cost += ((hix - lox) + (hiy - loy)) * it.w
-			case trialTrunk:
-				slot := i*t.yClasses + yClass
-				if !t.filled[slot] {
-					t.fillClass(i, yClass, y)
-				}
-				yBranch, ySpan := t.memo[2*slot], t.memo[2*slot+1]
-
-				lox, hix := it.minX, it.maxX
-				if x < lox {
-					lox = x
-				}
-				if x > hix {
-					hix = x
-				}
-				h := (hix - lox) + yBranch
-
-				var medX float64
-				if it.oddM {
-					medX = clampMed(x, it.ax0, it.ax1)
-				} else {
-					medX = (clampMed(x, it.ax0, it.ax1) + clampMed(x, it.ax1, it.ax2)) / 2
-				}
-				var si int
-				switch {
-				case medX <= it.ax0:
-					si = int(it.ix0)
-				case medX <= it.ax1:
-					si = int(it.ixMid)
-				default:
-					si = int(it.ixMid) + 1
-				}
-				xBranch := branchSumAt(it.xv, it.xp, medX, si)
-				if x > medX {
-					xBranch += x - medX
-				} else {
-					xBranch += medX - x
-				}
-				v2 := ySpan + xBranch
-
-				if v2 < h {
-					h = v2
-				}
-				cost += h * it.w
-			case trialRMST:
-				cost += view.TrialNetAt(it.net, x, y) * it.w
-			case trialZero:
-				// Falls through to the bound check: a trailing zero
-				// record at cost == bound is a tie and must not reach
-				// the winner assignment (first minimum wins).
-			}
-			// Bail as soon as the partial cost plus the remaining items'
-			// stored-span floor reaches the bound: the full cost could
-			// only be larger, so only non-winners are dropped (and a tie
-			// at the bound never wins — first minimum stays). The
-			// estimate is deflated by scanSlack so float reassociation
-			// can never prune a true sub-bound cost; the exact prefix
-			// check keeps the common case (cost alone already past the
-			// bound) at full strength.
-			if cost >= bound {
-				st.BailedExact++
-				continue scan
-			}
-			if (cost+tail[i+1])*scanSlack >= bound {
-				st.PrunedSuffix++
-				continue scan
-			}
-		}
-		st.Scored++
-		if cost < bound { // unconditional first-minimum, even for an empty set
-			best, bound = v, cost
-		}
-	}
-	return best, bound
-}
-
 // rowScan is ScanBestRows' walk state, shared by the two directional walks
 // of each row. bound is the tie-admitting prune threshold: one ulp above
 // the best score so far (or the caller's bound0 before any accept), so an
@@ -912,20 +848,20 @@ type rowScan struct {
 	visited   uint64
 }
 
-// ScanBestRows is the row-sharded replacement for the flat ScanBest: it
-// visits only rows [rowLo, rowHi) of the buckets, skipping infeasible and
-// empty rows, skipping whole rows whose rowTail lower bound already
-// reaches the running bound, and walking each surviving bucket outward
-// from the vacancy nearest the cell's median anchor. The outward order
-// tightens the bound with the best candidates first, and the per-vacancy
-// precheck — rowTail[row] plus the leading item's x-penalty, weakly
-// monotone in the outward x distance — cuts the entire remaining bucket
-// tail the moment it fires beyond the anchor interval, skipping dominated
-// regions wholesale instead of bailing per vacancy.
+// ScanBestRows is the allocation scan: it visits only rows [rowLo, rowHi)
+// of the buckets, skipping infeasible and empty rows, skipping whole rows
+// whose rowLB/rowTail lower bound already reaches the running bound, and
+// walking each surviving bucket outward from the vacancy nearest the
+// cell's median anchor. The outward order tightens the bound with the best
+// candidates first, and the per-vacancy precheck — rowTail[row] plus the
+// x-penalty envelope, weakly monotone in the outward x distance — cuts the
+// entire remaining bucket tail the moment it fires beyond the cut
+// interval, skipping dominated regions wholesale instead of bailing per
+// vacancy.
 //
 // The winner is the lowest-index vacancy among those with the strictly
-// smallest score — bitwise the flat ScanBest's (and the reference loop's)
-// first-minimum — restored from the out-of-order walk by the tie-admitting
+// smallest score — bitwise the brute-force loop's (and the reference
+// mode's) first-minimum — restored from the out-of-order walk by the tie-admitting
 // bound plus an explicit index tie-break. Requires CompileTrials,
 // PrepareScan (with yOf matching the vacancies' row centerlines), and a
 // bucket Build over the same vacancy pool. The y memo may start cold:
@@ -988,15 +924,18 @@ func (t *TrialSet) walkRows(c *rowScan, rowOK []bool, r, end, dir int) {
 			// convex with its minimum on [xCutLo, xCutHi], so its minimum
 			// over the row's x range is attained at the cut point clamped
 			// into the range (dead entries only widen the range — still a
-			// valid lower bound).
+			// valid lower bound). Unclamped, that is the per-cell xlbCut.
 			xc := t.xCutLo
+			xlb = t.xlbCut
 			if xc < bk.xs[lo] {
 				xc = bk.xs[lo]
 			}
 			if xc > bk.xs[hi-1] {
 				xc = bk.xs[hi-1]
 			}
-			xlb = t.envAt(t.envSeg(xc), xc)
+			if xc != t.xCutLo {
+				xlb = t.envAt(t.envSeg(xc), xc)
+			}
 			if (t.rowLB[r]+xlb)*scanSlack >= c.bound {
 				st.SkippedBucket += liveN
 				continue
@@ -1030,14 +969,12 @@ func (t *TrialSet) walkDir(c *rowScan, row, p, end, dir int) {
 	items, stride := t.items, len(t.items)+1
 	rowBase := row * stride
 	rowLB := t.rowTail[rowBase]
-	// The walk is monotone in x, so the envelope segment cursor advances
-	// amortized O(1) per position: one binary search seeds it, then each
-	// vacancy's precheck is a single multiply-add instead of the O(items)
-	// penalty loop.
-	seg, nbp := 0, len(t.xbp)
-	if t.hasPrune && p != end {
-		seg = t.envSeg(bk.xs[p])
-	}
+	// The walk is monotone in x and starts on its side of anchorX, so the
+	// envelope segment cursor seeded at anchorX's segment advances to each
+	// vacancy's segment amortized O(1) per position: each vacancy's
+	// precheck is a single multiply-add instead of the O(items) penalty
+	// loop.
+	seg, nbp := t.anchorSeg, len(t.xbp)
 walk:
 	for ; p != end; p += dir {
 		if !bk.live[p] {
@@ -1138,9 +1075,9 @@ walk:
 			case trialRMST:
 				cost += c.view.TrialNetAt(it.net, x, y) * it.w
 			case trialZero:
-				// Falls through to the bound check, like ScanBest: a
-				// trailing zero record at the bound is handled by the
-				// accept logic's index tie-break below.
+				// Falls through to the bound check: a trailing zero
+				// record at the bound is handled by the accept logic's
+				// index tie-break below.
 			}
 			// Retire this item's envelope term so xRem keeps tracking the
 			// x-penalty still owed by items i+1... xRem started as the
@@ -1155,11 +1092,11 @@ walk:
 					xRem -= it.w * (x - it.maxX)
 				}
 			}
-			// Same two-stage bail as ScanBest, with the row-sharpened
-			// suffix bound — plus the remaining x-penalty envelope: the
-			// exact prefix check at full strength, then the estimate
-			// deflated by scanSlack (it is a reassociated sum, and must
-			// never prune a true sub-bound cost — the PR-5 ULP lesson).
+			// Two-stage bail with the row-sharpened suffix bound plus
+			// the remaining x-penalty envelope: the exact prefix check at
+			// full strength, then the estimate deflated by scanSlack (it
+			// is a reassociated sum, and must never prune a true
+			// sub-bound cost; see scanSlack).
 			if cost >= c.bound {
 				st.BailedExact++
 				continue walk

@@ -1,6 +1,7 @@
 package simevo_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -143,9 +144,18 @@ func TestProfileSharesExposed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, alloc := res.Profile.Shares()
-	if alloc < 0.5 {
-		t.Fatalf("allocation share %.2f, want dominant (paper Section 4)", alloc)
+	// The wall-clock split is exposed (its values depend on the host, so
+	// only its shape is checked); the dominance itself is asserted on the
+	// deterministic trial counter: scored trials per iteration against the
+	// one goodness evaluation per movable cell.
+	eval, sel, alloc := res.Profile.Shares()
+	if sum := eval + sel + alloc; eval < 0 || sel < 0 || alloc < 0 || math.Abs(sum-1) > 1e-9 {
+		t.Fatalf("profile shares eval %v select %v alloc %v do not partition the run", eval, sel, alloc)
+	}
+	cells := uint64(ckt.NumCells()) // movable cells
+	if perIter := res.Telemetry.RefTrials / uint64(res.Iters); perIter < 2*cells {
+		t.Fatalf("allocation scored %d trials/iter, want dominant: ≥ 2×%d movable cells (paper Section 4)",
+			perIter, cells)
 	}
 }
 
