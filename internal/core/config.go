@@ -181,6 +181,15 @@ func DefaultConfig(obj fuzzy.Objectives) Config {
 	}
 }
 
+// normalizePower fills an unset activity-estimation configuration with
+// power.DefaultConfig.
+func normalizePower(pc power.Config) power.Config {
+	if pc.MaxIters == 0 {
+		return power.DefaultConfig()
+	}
+	return pc
+}
+
 // validate normalizes and checks the configuration.
 func (c *Config) validate() error {
 	if c.Objectives.Count() == 0 {
@@ -215,9 +224,7 @@ func (c *Config) validate() error {
 	if c.MuTraceCap < 0 {
 		c.MuTraceCap = 0
 	}
-	if c.PowerConfig.MaxIters == 0 {
-		c.PowerConfig = power.DefaultConfig()
-	}
+	c.PowerConfig = normalizePower(c.PowerConfig)
 	if c.TimingModel.Base == nil {
 		c.TimingModel = timing.DefaultModel()
 	}

@@ -47,7 +47,7 @@ type Engine struct {
 	gainW     [][]float64   // weight tables of the weighted objectives
 	hasScorer bool          // a CellScored objective (delay/congestion) is active
 	congGrid  *congest.Grid // congestion bin grid (nil unless Congest is active)
-	gainTerms []float64   // per cell × weighted objective: cached goodness terms
+	gainTerms []float64     // per cell × weighted objective: cached goodness terms
 	dirtyNets []netlist.NetID
 
 	// Incremental net-cost engine (nil in DisableIncremental mode). The
@@ -116,11 +116,11 @@ type Engine struct {
 	// speculative-exchange scratch (SnapshotSearch / AdoptPlacementPatched)
 	patchSlots  []layout.SlotRef
 	patchDeltas []layout.SlotDelta
-	vacs     []wire.Vacancy
-	vacUsed  []bool
-	buckets  wire.VacancyBuckets // row-sharded x-sorted occupancy of vacs
-	rowW     []int
-	rowOK    []bool // per row: adding the current cell keeps the width bound
+	vacs        []wire.Vacancy
+	vacUsed     []bool
+	buckets     wire.VacancyBuckets // row-sharded x-sorted occupancy of vacs
+	rowW        []int
+	rowOK       []bool // per row: adding the current cell keeps the width bound
 }
 
 func (e *Engine) init() {
@@ -621,15 +621,15 @@ func (e *Engine) goodnessWith(id netlist.CellID, view *wire.View, goods []float6
 // per-call question is whether the excluded cell is the one holding the
 // net-wide minimum.
 func (e *Engine) minAttach(n netlist.NetID, id netlist.CellID) float64 {
-	p := e.prob
-	w := p.attachW1[n]
-	if p.attachC1[n] == id {
-		w = p.attachW2[n]
+	s := &e.prob.Statics
+	w := s.attachW1[n]
+	if s.attachC1[n] == id {
+		w = s.attachW2[n]
 	}
 	if w < 0 {
 		return 0
 	}
-	return float64(int32(e.prob.Ckt.Cells[id].Width)+w) / 2
+	return float64(int32(s.Ckt.Cells[id].Width)+w) / 2
 }
 
 func ratio01(o, c float64) float64 {

@@ -10,64 +10,101 @@ import (
 	"simevo/internal/rng"
 )
 
-// Problem bundles a circuit with the placement-independent data every SimE
-// engine needs: switching activities, levelization, per-net and
-// per-objective lower bounds, and the validated configuration. In the
-// paper's cluster each MPI process computes this once at startup; here the
-// parallel strategies share one Problem across ranks.
-type Problem struct {
+// Statics is the seed-independent part of a Problem: the circuit, its
+// levelization, its switching activities under one power.Config, and the
+// per-net minimal-attachment tables. It depends on the circuit and the
+// power configuration only, so every search of one circuit — any seed,
+// budget, objective set or strategy — can derive its Problem from one
+// Statics. Nothing writes to a Statics after NewStatics returns: problems
+// and engines on any goroutine read it concurrently.
+type Statics struct {
 	Ckt *netlist.Circuit
-	Cfg Config
-
-	Lv *netlist.Levels
+	Lv  *netlist.Levels
 	// Acts are the per-net switching activities S_i, derived from one run
-	// of the power probability fixpoint (a whole-circuit propagation,
-	// computed once per problem) and shared by every engine, the
-	// reference-cost evaluation, and the metaheuristics.
-	Acts []float64
-	// Ref holds the objective costs of the canonical initial placement;
-	// Lower = Ref / goal factors normalizes the fuzzy memberships.
-	Ref   fuzzy.Costs
-	Lower fuzzy.Costs
-	OWA   fuzzy.OWA
+	// of the power probability fixpoint (a whole-circuit propagation)
+	// under PowerConfig and shared by every engine, the reference-cost
+	// evaluation, and the metaheuristics.
+	Acts        []float64
+	PowerConfig power.Config
 
 	// Per-net minimal-attachment tables: the smallest pin-cell width with
 	// the (pin-order-first) cell achieving it, and the smallest width among
 	// pins of any other cell (-1 when the net has pins of only one cell).
 	// minAttach reads them in O(1); widths are static, so this is computed
-	// once per problem instead of per (cell, net) per iteration.
+	// once instead of per (cell, net) per iteration.
 	attachC1 []netlist.CellID
 	attachW1 []int32
 	attachW2 []int32
 }
 
-// NewProblem validates the configuration and precomputes the shared data.
-func NewProblem(ckt *netlist.Circuit, cfg Config) (*Problem, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
+// Problem bundles a Statics with the validated configuration of one
+// search and what that configuration implies: the reference costs of the
+// seed's canonical initial placement and the per-objective lower bounds.
+// In the paper's cluster each MPI process computes this once at startup;
+// here the parallel strategies share one Problem across ranks.
+type Problem struct {
+	// Statics is a copy of the shared tables' headers; the tables
+	// themselves are shared, never copied.
+	Statics
+	Cfg Config
+
+	// Ref holds the objective costs of the canonical initial placement;
+	// Lower = Ref / goal factors normalizes the fuzzy memberships.
+	Ref   fuzzy.Costs
+	Lower fuzzy.Costs
+	OWA   fuzzy.OWA
+}
+
+// NewStatics levelizes the circuit, runs the activity fixpoint under pc
+// (the zero value selects power.DefaultConfig, as Config validation does)
+// and builds the attachment tables. The circuit must not change afterwards.
+func NewStatics(ckt *netlist.Circuit, pc power.Config) (*Statics, error) {
+	pc = normalizePower(pc)
 	lv, err := ckt.Levelize()
 	if err != nil {
 		return nil, err
 	}
-	probs, err := power.Probabilities(ckt, cfg.PowerConfig)
+	probs, err := power.Probabilities(ckt, pc)
 	if err != nil {
 		return nil, err
 	}
-	p := &Problem{
-		Ckt: ckt, Cfg: cfg, Lv: lv,
-		Acts: power.FromProbabilities(probs),
-		OWA:  fuzzy.OWA{Beta: cfg.Beta},
+	s := &Statics{Ckt: ckt, Lv: lv, Acts: power.FromProbabilities(probs), PowerConfig: pc}
+	s.buildAttach()
+	return s, nil
+}
+
+// NewProblem validates the configuration and derives the seed's reference
+// costs and lower bounds. The configuration's power model must be the one
+// the activities were computed under.
+func (s *Statics) NewProblem(cfg Config) (*Problem, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
-	// The reference evaluation reuses the cached levelization and
-	// activities instead of re-deriving both per construction.
-	p.Ref = referenceCosts(ckt, &cfg, p.Lv, p.Acts)
+	if cfg.PowerConfig != s.PowerConfig {
+		return nil, fmt.Errorf("core: config power model %+v differs from the statics' %+v",
+			cfg.PowerConfig, s.PowerConfig)
+	}
+	p := &Problem{Statics: *s, Cfg: cfg, OWA: fuzzy.OWA{Beta: cfg.Beta}}
+	p.Ref = referenceCosts(s.Ckt, &cfg, s.Lv, s.Acts)
 	if p.Ref.Wire <= 0 || p.Ref.Power <= 0 {
 		return nil, fmt.Errorf("core: degenerate reference costs %+v", p.Ref)
 	}
 	p.Lower = lowerBoundsFromReference(p.Ref, cfg.Goals)
-	p.buildAttach()
 	return p, nil
+}
+
+// NewProblem validates the configuration and precomputes the shared data:
+// NewStatics under the configuration's power model, then
+// Statics.NewProblem.
+func NewProblem(ckt *netlist.Circuit, cfg Config) (*Problem, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	s, err := NewStatics(ckt, cfg.PowerConfig)
+	if err != nil {
+		return nil, err
+	}
+	return s.NewProblem(cfg)
 }
 
 // buildAttach fills the per-net minimal-attachment tables. For each net it
@@ -76,12 +113,12 @@ func NewProblem(ckt *netlist.Circuit, cfg Config) (*Problem, error) {
 // that one — exactly the two candidates minAttach needs: excluding cell id
 // leaves w1 when id is not the minimal cell, w2 (the minimum over cells
 // other than the minimal one, all of which differ from id) when it is.
-func (p *Problem) buildAttach() {
-	ckt := p.Ckt
+func (s *Statics) buildAttach() {
+	ckt := s.Ckt
 	n := ckt.NumNets()
-	p.attachC1 = make([]netlist.CellID, n)
-	p.attachW1 = make([]int32, n)
-	p.attachW2 = make([]int32, n)
+	s.attachC1 = make([]netlist.CellID, n)
+	s.attachW1 = make([]int32, n)
+	s.attachW2 = make([]int32, n)
 	for i := 0; i < n; i++ {
 		w1, w2 := int32(-1), int32(-1)
 		c1 := netlist.NoCell
@@ -107,10 +144,10 @@ func (p *Problem) buildAttach() {
 		}
 		net := &ckt.Nets[i]
 		consider(net.Driver)
-		for _, s := range net.Sinks {
-			consider(s)
+		for _, sink := range net.Sinks {
+			consider(sink)
 		}
-		p.attachC1[i], p.attachW1[i], p.attachW2[i] = c1, w1, w2
+		s.attachC1[i], s.attachW1[i], s.attachW2[i] = c1, w1, w2
 	}
 }
 

@@ -15,9 +15,10 @@ import (
 // rank 0 of a transport.Group; registered simevo-worker processes hold the
 // remaining ranks. The job spec itself is the setup message — rank 0
 // broadcasts the normalized spec as JSON, every rank builds the identical
-// core.Problem from it (benchmark circuits regenerate deterministically,
-// uploaded netlists travel inline), and then the ordinary strategy protocol
-// runs unchanged over the wire.
+// core.Problem from it through buildProblem (catalog circuits from the
+// process's shared statics, which generate deterministically; uploaded
+// netlists travel inline), and then the ordinary strategy protocol runs
+// unchanged over the wire.
 
 // specOptions assembles the parallel options a normalized spec implies.
 func specOptions(ctx context.Context, spec Spec, progress core.Progress) parallel.Options {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 
 	"simevo/internal/core"
@@ -12,6 +13,7 @@ import (
 	"simevo/internal/metaheur"
 	"simevo/internal/netlist"
 	"simevo/internal/parallel"
+	"simevo/internal/power"
 	"simevo/internal/transport"
 )
 
@@ -23,25 +25,29 @@ const clusterAcquireTimeout = 30 * time.Second
 // winding down cooperatively before its group is interrupted.
 const clusterCancelGrace = 30 * time.Second
 
-// buildCircuit materializes the spec's design: a catalog benchmark or an
-// uploaded .bench netlist.
-func buildCircuit(spec Spec) (*netlist.Circuit, error) {
-	if spec.Circuit != "" {
-		return gen.Benchmark(spec.Circuit)
+// catalogStatics holds one lazily built core.Statics per catalog circuit,
+// shared by every job of the process that names that circuit: the
+// circuit, its levelization, its activities and its attach tables are
+// seed-independent, so only the reference costs and lower bounds (and
+// every engine) are built per job. A circuit's entry is built by the
+// first job that names it, never at start-up, and is never evicted — the
+// catalog is five small circuits. Uploaded netlists build fresh per job.
+var catalogStatics = func() map[string]func() (*core.Statics, error) {
+	m := make(map[string]func() (*core.Statics, error))
+	for _, name := range gen.Catalog() {
+		m[name] = sync.OnceValues(func() (*core.Statics, error) {
+			ckt, err := gen.Benchmark(name)
+			if err != nil {
+				return nil, err
+			}
+			return core.NewStatics(ckt, power.DefaultConfig())
+		})
 	}
-	ckt, err := netlist.ParseBench("upload", strings.NewReader(spec.Bench))
-	if err != nil {
-		return nil, fmt.Errorf("jobs: parsing uploaded bench: %w", err)
-	}
-	return ckt, nil
-}
+	return m
+}()
 
-// buildProblem assembles the shared problem data for a normalized spec.
-func buildProblem(spec Spec) (*core.Problem, error) {
-	ckt, err := buildCircuit(spec)
-	if err != nil {
-		return nil, err
-	}
+// specConfig is the SimE configuration a normalized spec implies.
+func specConfig(spec Spec) core.Config {
 	cfg := core.DefaultConfig(spec.objectives())
 	if spec.MaxIters > 0 {
 		// SA specs carry no iteration bound (they budget moves); the
@@ -58,6 +64,28 @@ func buildProblem(spec Spec) (*core.Problem, error) {
 	// indefinitely — recording is off here (it stays on by default for
 	// library and benchmark use).
 	cfg.DisableMuTrace = true
+	return cfg
+}
+
+// buildProblem assembles the problem of a normalized spec: local jobs,
+// RunSpecOn and worker ServeRank all build through here.
+func buildProblem(spec Spec) (*core.Problem, error) {
+	cfg := specConfig(spec)
+	if spec.Circuit != "" {
+		statics, ok := catalogStatics[spec.Circuit]
+		if !ok {
+			return nil, fmt.Errorf("jobs: unknown circuit %q (have %v)", spec.Circuit, gen.Catalog())
+		}
+		s, err := statics()
+		if err != nil {
+			return nil, err
+		}
+		return s.NewProblem(cfg)
+	}
+	ckt, err := netlist.ParseBench("upload", strings.NewReader(spec.Bench))
+	if err != nil {
+		return nil, fmt.Errorf("jobs: parsing uploaded bench: %w", err)
+	}
 	return core.NewProblem(ckt, cfg)
 }
 

@@ -11,6 +11,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 
 	"simevo/internal/fuzzy"
@@ -222,6 +223,10 @@ func (s Spec) Normalize() (Spec, error) {
 	if s.MaxIters < 0 || s.Moves < 0 || s.Rows < 0 || s.Procs < 0 || s.Retry < 0 || s.MaxRetries < 0 {
 		return Spec{}, fmt.Errorf("jobs: negative budgets are invalid")
 	}
+	if !isFinite(s.Bias) || !isFinite(s.TargetMu) {
+		// JSON cannot carry them, so the cache key could not be computed.
+		return Spec{}, fmt.Errorf("jobs: bias and target_mu must be finite")
+	}
 	switch {
 	case s.Strategy == StrategySA:
 		// SA is budgeted in moves; the iteration knobs do not apply.
@@ -291,6 +296,8 @@ func (s Spec) Normalize() (Spec, error) {
 	}
 	return s, nil
 }
+
+func isFinite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // Fingerprint is the result-cache key: a digest of every normalized field
 // that influences the search outcome. IncludePlacement and MaxRetries are
