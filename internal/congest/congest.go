@@ -350,7 +350,7 @@ func (g *Grid) Demand(dst []float64) []float64 {
 // Stats reports the grid's lifetime churn counters.
 func (g *Grid) Stats() (binUpdates, rebuilds uint64) { return g.nBinUpdates, g.nRebuilds }
 
-/// CellScore is the goodness hook: 1 − (cell's bin demand / peak demand),
+// CellScore is the goodness hook: 1 − (cell's bin demand / peak demand),
 // so cells in the hottest bin score 0 and cells in empty bins score 1.
 // Like delay criticality, the score depends on a global quantity (the
 // peak), so the engine re-reads it on every goodness aggregation.

@@ -120,7 +120,8 @@ type Engine struct {
 	vacUsed     []bool
 	buckets     wire.VacancyBuckets // row-sharded x-sorted occupancy of vacs
 	rowW        []int
-	rowOK       []bool // per row: adding the current cell keeps the width bound
+	rowOK       []bool    // per row: adding the current cell keeps the width bound
+	rowY        []float64 // per row: centerline y (layout.RowY), built at init
 }
 
 func (e *Engine) init() {
@@ -171,6 +172,7 @@ func (e *Engine) init() {
 	e.domain = append([]netlist.CellID(nil), ckt.Movable()...)
 	e.allocOrder = cfg.AllocOrder
 	e.bestMu = -1
+	e.rowY = layout.RowCenters(e.place.NumRows()) // one problem, one row count
 }
 
 // SetAllocOrder overrides the allocation processing order for this engine
@@ -722,8 +724,10 @@ func (e *Engine) allocate(sel []netlist.CellID) {
 	ckt := e.prob.Ckt
 	cfg := &e.prob.Cfg
 
-	// Capture vacancies and prospective row widths.
-	tCapture := time.Now()
+	// Capture vacancies and prospective row widths. The sub-phase stamps
+	// below are monotonic offsets from this pass start: time.Since reads one
+	// clock where time.Now reads two.
+	start := time.Now()
 	n := len(sel)
 	numRows := e.place.NumRows()
 	e.vacRef = resizeRefs(e.vacRef, n)
@@ -764,20 +768,27 @@ func (e *Engine) allocate(sel []netlist.CellID) {
 	}
 	e.rowOK = e.rowOK[:numRows]
 
-	// Sub-phase stamps: tMark carries the previous cell's end stamp into
-	// the next cell's prep window, so the loop costs three clock reads per
-	// cell instead of four.
+	// Sub-phase stamps: mark carries the previous cell's end stamp into the
+	// next cell's prep window, so the loop costs three clock reads per cell
+	// instead of four.
 	var prepD, scanD, commitD time.Duration
 	var refTrials uint64
-	tMark := time.Now()
-	prepD = tMark.Sub(tCapture)
+	mark := time.Since(start)
+	prepD = mark
+	// okW is the cell width rowOK was computed for. The table depends on
+	// the cell only through its width, so it is recomputed when the width
+	// changes; a commit updates the one row it widens. -1: rowW changed.
+	okW := -1
 	for own, id := range sel {
 		w := ckt.Cells[id].Width
 		e.prepTrial(id, useInc)
-		for r := range e.rowOK {
-			e.rowOK[r] = float64(e.rowW[r]+w) <= limit
+		if w != okW {
+			for r := range e.rowOK {
+				e.rowOK[r] = float64(e.rowW[r]+w) <= limit
+			}
+			okW = w
 		}
-		t1 := time.Now()
+		t1 := time.Since(start)
 		// First pass: best width-feasible vacancy. The width bound is a
 		// hard constraint (Section 2), so infeasible vacancies are only
 		// considered in the fallback pass, by smallest violation.
@@ -825,7 +836,7 @@ func (e *Engine) allocate(sel []netlist.CellID) {
 				}
 			}
 		}
-		t2 := time.Now()
+		t2 := time.Since(start)
 		e.place.FillHole(e.vacRef[best], id)
 		e.place.SetCoordHint(id, e.vacs[best].X, e.vacs[best].Y)
 		if useInc {
@@ -833,17 +844,19 @@ func (e *Engine) allocate(sel []netlist.CellID) {
 			e.buckets.Commit(int32(best))
 		}
 		e.vacUsed[best] = true
-		e.rowW[e.vacs[best].Row] += w
-		t3 := time.Now()
-		prepD += t1.Sub(tMark)
-		scanD += t2.Sub(t1)
-		commitD += t3.Sub(t2)
-		tMark = t3
+		row := e.vacs[best].Row
+		e.rowW[row] += w
+		e.rowOK[row] = float64(e.rowW[row]+w) <= limit
+		t3 := time.Since(start)
+		prepD += t1 - mark
+		scanD += t2 - t1
+		commitD += t3 - t2
+		mark = t3
 	}
 	e.flushScanStats()
 	e.tel.RefTrials += refTrials
 	e.place.Recompute()
-	commitD += time.Since(tMark)
+	commitD += time.Since(start) - mark
 	e.tel.AllocPrepNs += uint64(prepD)
 	e.tel.AllocScanNs += uint64(scanD)
 	e.tel.AllocCommitNs += uint64(commitD)
@@ -924,13 +937,14 @@ func (e *Engine) prepTrial(id netlist.CellID, useInc bool) {
 	e.orderTrials(id, useInc)
 	if useInc {
 		// Vacancy candidates sit on row centerlines, so the rows are the
-		// y-memo classes; RowY reproduces Recompute's centerline expression
-		// bit for bit. The memo fills lazily during serial scans; a
-		// parallel scan prefills it first (allocate). PrepareScan derives
-		// the per-row suffix bounds and the anchor the bucketed scan
-		// prunes with — O(nets·rows), noise against the scan itself.
-		e.inc.CompileTrials(&e.trials, e.netsBuf, e.trialW, e.place.NumRows())
-		e.trials.PrepareScan(layout.RowY, e.place.NumRows())
+		// y-memo classes; rowY holds layout.RowY, which reproduces
+		// Recompute's centerline expression bit for bit. The memo and the
+		// per-row suffix bounds fill lazily, by row, during the scan (rows
+		// partition across a parallel scan's workers). PrepareScan derives
+		// the per-row bounds and the anchor the bucketed scan prunes with —
+		// O(nets + rows), noise against the scan itself.
+		e.inc.CompileTrials(&e.trials, e.netsBuf, e.trialW, len(e.rowY))
+		e.trials.PrepareScan(e.rowY)
 	}
 }
 

@@ -95,7 +95,8 @@ func oracleAllocPass(t *testing.T, e *Engine) {
 // (activity, STA criticality, congestion demand), every cell of an
 // allocation pass must get the brute-force winner. Two oracle passes run
 // per setup, the second after ordinary iterations have moved the
-// placement and the objective weights.
+// placement and the objective weights; a twin engine stepping normally
+// must reach the same placements.
 func TestScanBestRowsMatchesBruteForceAllModes(t *testing.T) {
 	type setup struct {
 		name string
@@ -140,12 +141,27 @@ func TestScanBestRowsMatchesBruteForceAllModes(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				e := p.NewEngine(0)
-				oracleAllocPass(t, e)
-				for i := 0; i < 3; i++ {
-					e.Step()
+				// twin runs the engine's own Step in lockstep: the oracle's
+				// per-cell feasibility and commits are recomputed from
+				// scratch, so equal placements pin allocate's incremental
+				// row-feasibility bookkeeping too.
+				e, twin := p.NewEngine(0), p.NewEngine(0)
+				lockstep := func(when string) {
+					t.Helper()
+					if got, want := twin.Placement().Fingerprint(), e.Placement().Fingerprint(); got != want {
+						t.Fatalf("%s: Step placement %x != oracle pass placement %x", when, got, want)
+					}
 				}
 				oracleAllocPass(t, e)
+				twin.Step()
+				lockstep("first pass")
+				for i := 0; i < 3; i++ {
+					e.Step()
+					twin.Step()
+				}
+				oracleAllocPass(t, e)
+				twin.Step()
+				lockstep("fifth pass")
 			})
 		}
 	}

@@ -14,10 +14,10 @@ import (
 // real budget and real entropy, so a rejected speculation resumes the
 // search from the pre-adoption position but does not replay it.
 type SearchSnapshot struct {
-	slots   []layout.SlotRef   // per cell: slot at snapshot time
-	place   *layout.Placement  // full clone, the restore fallback path
-	objs    []cost.Snapshot    // per pipeline objective, in evaluation order
-	lengths []float64          // committed per-net length estimates
+	slots   []layout.SlotRef  // per cell: slot at snapshot time
+	place   *layout.Placement // full clone, the restore fallback path
+	objs    []cost.Snapshot   // per pipeline objective, in evaluation order
+	lengths []float64         // committed per-net length estimates
 
 	mu    float64
 	costs fuzzy.Costs

@@ -170,7 +170,10 @@ func scanLines(path string, fn func(fields []string) error) error {
 			return fmt.Errorf("format: %s:%d: %w", filepath.Base(path), lineNo, err)
 		}
 	}
-	return sc.Err()
+	if err := sc.Err(); err != nil {
+		return fmt.Errorf("format: %s: %w", filepath.Base(path), err)
+	}
+	return nil
 }
 
 func parseNodes(path string) ([]bookshelfNode, map[string]int, error) {
@@ -183,7 +186,7 @@ func parseNodes(path string) ([]bookshelfNode, map[string]int, error) {
 		if len(f) < 3 {
 			return fmt.Errorf("short node line %q", strings.Join(f, " "))
 		}
-		w, err := strconv.ParseFloat(f[1], 64)
+		w, err := parseFinite(f[1])
 		if err != nil {
 			return fmt.Errorf("node %s: bad width %q", f[0], f[1])
 		}
@@ -245,37 +248,43 @@ func parseSCL(path string) ([]Row, error) {
 	var rows []Row
 	var cur *Row
 	err := scanLines(path, func(f []string) error {
-		switch f[0] {
-		case "CoreRow":
+		if f[0] == "CoreRow" {
 			rows = append(rows, Row{SiteWidth: 1, Height: 1})
 			cur = &rows[len(rows)-1]
-		case "End":
+			return nil
+		}
+		if f[0] == "End" {
 			cur = nil
+			return nil
+		}
+		if cur == nil || len(f) < 3 {
+			return nil
+		}
+		var dst *float64
+		switch f[0] {
 		case "Coordinate":
-			if cur != nil && len(f) >= 3 {
-				cur.Coordinate, _ = strconv.ParseFloat(f[2], 64)
-			}
+			dst = &cur.Coordinate
 		case "Height":
-			if cur != nil && len(f) >= 3 {
-				cur.Height, _ = strconv.ParseFloat(f[2], 64)
-			}
+			dst = &cur.Height
 		case "Sitewidth":
-			if cur != nil && len(f) >= 3 {
-				cur.SiteWidth, _ = strconv.ParseFloat(f[2], 64)
-			}
+			dst = &cur.SiteWidth
 		case "SubrowOrigin":
-			if cur != nil && len(f) >= 3 {
-				cur.SubrowOrigin, _ = strconv.ParseFloat(f[2], 64)
-				// "SubrowOrigin : x  NumSites : n" shares the line.
-				if len(f) >= 6 && f[3] == "NumSites" {
-					cur.NumSites, _ = strconv.Atoi(f[5])
-				}
+			dst = &cur.SubrowOrigin
+			// "SubrowOrigin : x  NumSites : n" shares the line.
+			if len(f) >= 6 && f[3] == "NumSites" {
+				cur.NumSites, _ = strconv.Atoi(f[5])
 			}
 		case "NumSites":
-			if cur != nil && len(f) >= 3 {
-				cur.NumSites, _ = strconv.Atoi(f[2])
-			}
+			cur.NumSites, _ = strconv.Atoi(f[2])
+			return nil
+		default:
+			return nil
 		}
+		v, err := parseFinite(f[2])
+		if err != nil {
+			return fmt.Errorf("bad %s %q", f[0], f[2])
+		}
+		*dst = v
 		return nil
 	})
 	if err != nil {
@@ -289,8 +298,26 @@ func parseSCL(path string) ([]Row, error) {
 		if rows[i].SiteWidth <= 0 {
 			rows[i].SiteWidth = 1
 		}
+		// The height scales terminal y into the internal frame
+		// (initialPlacement); 0 would put pads at infinity.
+		if rows[i].Height <= 0 {
+			return nil, fmt.Errorf("format: %s: core row at y=%v has height %v", filepath.Base(path), rows[i].Coordinate, rows[i].Height)
+		}
 	}
 	return rows, nil
+}
+
+// parseFinite parses a Bookshelf number, rejecting NaN and infinities:
+// every number the loader reads becomes a width or a coordinate.
+func parseFinite(s string) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return 0, err
+	}
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, fmt.Errorf("non-finite number %q", s)
+	}
+	return v, nil
 }
 
 func parsePl(path string, nodeIdx map[string]int) (x, y map[string]float64, err error) {
@@ -303,8 +330,8 @@ func parsePl(path string, nodeIdx map[string]int) (x, y map[string]float64, err 
 		if _, ok := nodeIdx[f[0]]; !ok {
 			return fmt.Errorf("placement for unknown node %q", f[0])
 		}
-		px, err1 := strconv.ParseFloat(f[1], 64)
-		py, err2 := strconv.ParseFloat(f[2], 64)
+		px, err1 := parseFinite(f[1])
+		py, err2 := parseFinite(f[2])
 		if err1 != nil || err2 != nil {
 			return fmt.Errorf("node %s: bad coordinates %q %q", f[0], f[1], f[2])
 		}

@@ -292,6 +292,15 @@ func (p *Placement) Coord(id netlist.CellID) (x, y float64) { return p.x[id], p.
 // RowY returns the physical y coordinate of a row's centerline.
 func RowY(row int) float64 { return (float64(row) + 0.5) * RowPitch }
 
+// RowCenters returns the centerline y of rows 0..rows-1, each RowY(r).
+func RowCenters(rows int) []float64 {
+	ys := make([]float64, rows)
+	for r := range ys {
+		ys[r] = RowY(r)
+	}
+	return ys
+}
+
 // SetCoordHint overrides a cell's cached coordinates until the next
 // Recompute. The allocation operator uses it so that cells already placed
 // this iteration are scored at their new (approximate) location rather than

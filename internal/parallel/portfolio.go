@@ -56,14 +56,14 @@ type Searcher interface {
 // simeSearcher adapts *core.Engine to the Searcher interface.
 type simeSearcher struct{ eng *core.Engine }
 
-func (s simeSearcher) Step() core.IterStats                { return s.eng.Step() }
-func (s simeSearcher) EvaluateCosts()                      { s.eng.EvaluateCosts() }
-func (s simeSearcher) BestMu() float64                     { return s.eng.BestMu() }
-func (s simeSearcher) BestPlacement() *layout.Placement    { return s.eng.BestPlacement() }
-func (s simeSearcher) Snapshot() *core.SearchSnapshot      { return s.eng.SnapshotSearch() }
-func (s simeSearcher) Restore(snap *core.SearchSnapshot)   { s.eng.RestoreSearch(snap) }
-func (s simeSearcher) Adopt(p *layout.Placement)           { s.eng.AdoptPlacementPatched(p) }
-func (s simeSearcher) AdoptFull(p *layout.Placement)       { s.eng.AdoptPlacement(p) }
+func (s simeSearcher) Step() core.IterStats              { return s.eng.Step() }
+func (s simeSearcher) EvaluateCosts()                    { s.eng.EvaluateCosts() }
+func (s simeSearcher) BestMu() float64                   { return s.eng.BestMu() }
+func (s simeSearcher) BestPlacement() *layout.Placement  { return s.eng.BestPlacement() }
+func (s simeSearcher) Snapshot() *core.SearchSnapshot    { return s.eng.SnapshotSearch() }
+func (s simeSearcher) Restore(snap *core.SearchSnapshot) { s.eng.RestoreSearch(snap) }
+func (s simeSearcher) Adopt(p *layout.Placement)         { s.eng.AdoptPlacementPatched(p) }
+func (s simeSearcher) AdoptFull(p *layout.Placement)     { s.eng.AdoptPlacement(p) }
 
 // searcherConfigFor resolves the portfolio slot of a searcher rank.
 func searcherConfigFor(rank int, opt Options) SearcherConfig {

@@ -97,11 +97,11 @@ var (
 	// round to time.
 	ExchangeAsyncType3Ns = Default.Histogram("simevo_exchange_round_ns", "Parallel-strategy exchange round latency in nanoseconds.", "strategy", "type3_async")
 
-	ExchangePosted       = Default.Counter("simevo_exchange_posted_total", "Searcher improvements posted to the Type III store.")
-	ExchangeAdopted      = Default.Counter("simevo_exchange_adopted_total", "Store solutions adopted by a searcher (speculation accepted or synchronous adoption).")
-	ExchangeRejected     = Default.Counter("simevo_exchange_rejected_total", "Store solutions rejected by a searcher after speculation.")
-	SpeculationRestores  = Default.Counter("simevo_exchange_speculation_restores_total", "Snapshot restores performed by the speculative reject path (no full rebuild).")
-	ExchangeStoreEpoch   = Default.Gauge("simevo_exchange_store_epoch", "Monotonic epoch of the Type III store's best solution (last run on this process).")
+	ExchangePosted      = Default.Counter("simevo_exchange_posted_total", "Searcher improvements posted to the Type III store.")
+	ExchangeAdopted     = Default.Counter("simevo_exchange_adopted_total", "Store solutions adopted by a searcher (speculation accepted or synchronous adoption).")
+	ExchangeRejected    = Default.Counter("simevo_exchange_rejected_total", "Store solutions rejected by a searcher after speculation.")
+	SpeculationRestores = Default.Counter("simevo_exchange_speculation_restores_total", "Snapshot restores performed by the speculative reject path (no full rebuild).")
+	ExchangeStoreEpoch  = Default.Gauge("simevo_exchange_store_epoch", "Monotonic epoch of the Type III store's best solution (last run on this process).")
 
 	// Service (simevo-serve job manager + SSE).
 	JobsSubmitted  = Default.Counter("simevo_jobs_submitted_total", "Jobs accepted by the service (including cache hits).")

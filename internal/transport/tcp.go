@@ -858,9 +858,9 @@ func (r *remote) Recv(src, tag int) ([]byte, mpi.Status) { return r.in.recv(src,
 
 // Poll is the non-blocking Recv (see transport.Poller).
 func (r *remote) Poll(src, tag int) ([]byte, mpi.Status, bool) { return r.in.pollRecv(src, tag) }
-func (r *remote) Bcast(root int, data []byte) []byte     { return bcast(r, root, data) }
-func (r *remote) Gather(root int, data []byte) [][]byte  { return gather(r, root, data) }
-func (r *remote) Barrier()                               { barrier(r) }
+func (r *remote) Bcast(root int, data []byte) []byte           { return bcast(r, root, data) }
+func (r *remote) Gather(root int, data []byte) [][]byte        { return gather(r, root, data) }
+func (r *remote) Barrier()                                     { barrier(r) }
 
 // Serve runs the worker loop: wait for a rank assignment, execute fn as
 // that rank, report completion, and return to waiting — until the hub says

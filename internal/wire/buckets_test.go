@@ -178,7 +178,7 @@ func TestScanBestRowsMatchesFlatScan(t *testing.T) {
 				}
 			}
 
-			s.set.PrepareScan(layout.RowY, s.rows)
+			s.set.PrepareScan(layout.RowCenters(s.rows))
 			gotBest, gotScore := s.set.ScanBestRows(view, s.vacs, &s.bk, s.rowOK, 0, s.rows, bound0, nil)
 			wantBest, wantScore := s.set.ScanBest(view, s.vacs, s.free, s.rowOK, 0, len(s.free), bound0, nil)
 			if gotBest != wantBest || gotScore != wantScore {
@@ -239,7 +239,7 @@ func TestScanBestRowsTieHeavy(t *testing.T) {
 			rowOK[i] = true
 		}
 
-		set.PrepareScan(layout.RowY, rows)
+		set.PrepareScan(layout.RowCenters(rows))
 		got, gotScore := set.ScanBestRows(view, vacs, &bk, rowOK, 0, rows, 1e308, nil)
 
 		// Brute-force reference: first index with the strictly smallest

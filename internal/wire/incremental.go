@@ -8,8 +8,8 @@ import (
 
 // Incremental is a net-cost engine that maintains cached per-net geometry
 // — a coordinate mirror per cell plus sorted pin-coordinate multisets (and,
-// for the Steiner estimator, prefix sums for the trunk/median math) per net
-// — so that:
+// for the Steiner estimator, prefix sums for the trunk/median math on nets
+// of at least three pins) per net — so that:
 //
 //   - a trial placement of one cell is scored in O(log p) per net through a
 //     View (TrialNetAt / TrialNetAt2) instead of re-collecting and
@@ -18,10 +18,12 @@ import (
 //     cells ("dirty" nets) are re-estimated (Sync + Lengths), instead of
 //     recomputing every net from scratch.
 //
-// Committed net lengths are always produced by the embedded from-scratch
-// Evaluator collecting pins in pin order from the mirror, so they are
-// bitwise identical to Evaluator.Lengths over the same coordinates — the
-// serial, Type I, and Type II trajectory invariants depend on this. Trial
+// Committed net lengths are bitwise identical to Evaluator.Lengths over the
+// same coordinates — the serial, Type I, and Type II trajectory invariants
+// depend on this. Every order-independent part of an estimate (spans,
+// medians) is read from the sorted multisets; only the order-dependent
+// Steiner branch sums walk the pins in pin order from the mirror, and RMST
+// nets go through the embedded Evaluator (see estimateWith). Trial
 // values go through the canonical formulas in trial.go, shared with
 // Evaluator.NetLengthWithCellAt, and are likewise bitwise reproducible.
 //
@@ -48,10 +50,9 @@ type Incremental struct {
 	geoms  []netGeom // per-net sorted pin geometry (headers into the flats)
 
 	// Flat SoA backing for the per-net geometry. geoms[n] aliases
-	// [netOff[n], netOff[n]+deg(n)) of each value/cell array and
-	// [netOff[n]+n, netOff[n]+n+deg(n)+1) of each prefix array (prefix
-	// regions are one element longer per net; nil unless the estimator
-	// needs them).
+	// [netOff[n], netOff[n]+deg(n)) of each value/cell array and, for a
+	// net with a prefix region (hasPrefix), deg(n)+1 consecutive elements
+	// of each prefix array (nil unless the estimator needs them).
 	flatXV, flatYV []float64
 	flatXC, flatYC []netlist.CellID
 	flatXP, flatYP []float64
@@ -77,7 +78,8 @@ type Incremental struct {
 
 // netGeom holds one net's cached geometry: pin coordinates sorted per axis
 // with the owning cell per entry, plus prefix sums for the Steiner branch
-// math (len = len(values)+1; unused for HPWL/RMST). The slices are
+// math (len = len(values)+1; nil for HPWL/RMST and for nets of fewer than
+// three pins, which no branch-math reader reaches). The slices are
 // capacity-capped windows into the Incremental's flat backing arrays.
 type netGeom struct {
 	xv, yv []float64
@@ -153,19 +155,23 @@ func (inc *Incremental) buildPins() {
 // reallocate nor cross into a neighbor.
 func (inc *Incremental) buildFlat() {
 	ckt := inc.ckt
-	total := 0
+	total, totalP := 0, 0
 	for n := 0; n < ckt.NumNets(); n++ {
-		total += inc.netDegree(netlist.NetID(n))
+		deg := inc.netDegree(netlist.NetID(n))
+		total += deg
+		if inc.hasPrefix(deg) {
+			totalP += deg + 1
+		}
 	}
 	inc.flatXV = make([]float64, total)
 	inc.flatYV = make([]float64, total)
 	inc.flatXC = make([]netlist.CellID, total)
 	inc.flatYC = make([]netlist.CellID, total)
-	if inc.needPrefix() {
-		inc.flatXP = make([]float64, total+ckt.NumNets())
-		inc.flatYP = make([]float64, total+ckt.NumNets())
+	if totalP > 0 {
+		inc.flatXP = make([]float64, totalP)
+		inc.flatYP = make([]float64, totalP)
 	}
-	off := 0
+	off, p := 0, 0
 	for n := range inc.geoms {
 		deg := inc.netDegree(netlist.NetID(n))
 		g := &inc.geoms[n]
@@ -173,10 +179,10 @@ func (inc *Incremental) buildFlat() {
 		g.yv = inc.flatYV[off : off+deg : off+deg]
 		g.xc = inc.flatXC[off : off+deg : off+deg]
 		g.yc = inc.flatYC[off : off+deg : off+deg]
-		if inc.needPrefix() {
-			p := off + n
+		if inc.hasPrefix(deg) {
 			g.xp = inc.flatXP[p : p : p+deg+1]
 			g.yp = inc.flatYP[p : p : p+deg+1]
+			p += deg + 1
 		}
 		off += deg
 	}
@@ -222,8 +228,13 @@ func (inc *Incremental) NetBBox(n netlist.NetID) (minX, minY, maxX, maxY float64
 	return g.xv[0], g.yv[0], g.xv[len(g.xv)-1], g.yv[len(g.yv)-1], true
 }
 
-// needPrefix reports whether the estimator uses the prefix-sum branch math.
-func (inc *Incremental) needPrefix() bool { return inc.est == Steiner }
+// hasPrefix reports whether a net of the given degree keeps prefix sums:
+// only the Steiner estimator uses the branch math, and every reader of it
+// — a trunk trial (TrialSet, steinerTrial1: three stored pins), a two-
+// candidate trial on a net holding a lifted cell (TrialNetAt2: two stored
+// pins of three), an exclusion (steinerExcl: four remaining pins) — needs
+// a net of at least three pins.
+func (inc *Incremental) hasPrefix(deg int) bool { return inc.est == Steiner && deg >= 3 }
 
 // Rebuild resynchronizes the full state — mirror, multisets, and committed
 // lengths — from the given coordinates. It doubles as the periodic
@@ -245,43 +256,47 @@ func (inc *Incremental) Rebuild(coords Coords) {
 	inc.built = true
 }
 
-// rebuildNet refills one net's sorted geometry from the mirror.
+// rebuildNet refills one net's sorted geometry from the mirror. Once the
+// state is built, every net holds all its pins whenever this runs (Sync and
+// Rebuild refuse outstanding removals), so the refill keeps each axis's
+// previous sorted cell order: pins move little between syncs, and the
+// insertion sort then finds the arrays almost sorted. The first build fills
+// in pin order. Either way the result is the same sorted multiset.
 func (inc *Incremental) rebuildNet(n netlist.NetID) {
 	g := &inc.geoms[n]
-	net := inc.ckt.Net(n)
-	deg := 0
-	if net.Driver != netlist.NoCell {
-		deg++
-	}
-	deg += len(net.Sinks)
-
-	g.xv = resizeFloats(g.xv, deg)
-	g.yv = resizeFloats(g.yv, deg)
-	g.xc = resizeCells(g.xc, deg)
-	g.yc = resizeCells(g.yc, deg)
-	i := 0
-	fill := func(id netlist.CellID) {
-		g.xv[i], g.xc[i] = inc.cx[id], id
-		g.yv[i], g.yc[i] = inc.cy[id], id
-		i++
-	}
-	if net.Driver != netlist.NoCell {
-		fill(net.Driver)
-	}
-	for _, s := range net.Sinks {
-		fill(s)
+	if inc.built {
+		for i, id := range g.xc {
+			g.xv[i] = inc.cx[id]
+		}
+		for i, id := range g.yc {
+			g.yv[i] = inc.cy[id]
+		}
+	} else {
+		net := inc.ckt.Net(n)
+		i := 0
+		fill := func(id netlist.CellID) {
+			g.xv[i], g.xc[i] = inc.cx[id], id
+			g.yv[i], g.yc[i] = inc.cy[id], id
+			i++
+		}
+		if net.Driver != netlist.NoCell {
+			fill(net.Driver)
+		}
+		for _, s := range net.Sinks {
+			fill(s)
+		}
 	}
 	coSort(g.xv, g.xc)
 	coSort(g.yv, g.yc)
 	inc.refreshPrefix(g)
 }
 
-// refreshPrefix recomputes both prefix-sum arrays by a fresh left-to-right
-// accumulation — the canonical form every evaluator produces, keeping
-// prefix bits independent of edit history.
+// refreshPrefix recomputes both prefix-sum arrays, on nets that keep them
+// (hasPrefix), by a fresh left-to-right accumulation — the canonical form
+// every evaluator produces, keeping prefix bits independent of edit
+// history.
 func (inc *Incremental) refreshPrefix(g *netGeom) {
-	if !inc.needPrefix() {
-		g.xp, g.yp = g.xp[:0], g.yp[:0]
+	if g.xp == nil {
 		return
 	}
 	g.xp = prefixInto(g.xp, g.xv)
@@ -452,8 +467,9 @@ func (inc *Incremental) NetLength(n netlist.NetID) float64 {
 // degenerates to the bounding box (HPWL, or Steiner with <= 3 pins — the
 // bulk of a netlist) read the extremes straight from the sorted multisets:
 // min and max are order-independent, so the value equals the pin-order
-// hpwl() bit for bit without collecting a single pin. Everything else goes
-// through the embedded Evaluator's canonical pin-order path.
+// hpwl() bit for bit without collecting a single pin. Larger Steiner nets
+// take their spans and medians from the multisets too (steinerLength); RMST
+// goes through the embedded Evaluator's canonical pin-order path.
 func (inc *Incremental) estimate(n netlist.NetID) float64 {
 	return inc.estimateWith(inc.base.ev, n)
 }
@@ -461,18 +477,58 @@ func (inc *Incremental) estimate(n netlist.NetID) float64 {
 // estimateWith is estimate through a caller-supplied evaluator scratch, so
 // concurrent flush chunks (FlushChunk) can re-estimate disjoint net ranges
 // without sharing the base evaluator. The value is independent of which
-// evaluator computes it: the bbox fast path reads only the sorted
-// multisets, and NetLength collects pins in pin order from the mirror.
+// evaluator computes it: the HPWL and Steiner paths read only the cached
+// state, and NetLength collects pins in pin order from the mirror.
 func (inc *Incremental) estimateWith(ev *Evaluator, n netlist.NetID) float64 {
 	g := &inc.geoms[n]
 	deg := len(g.xv)
 	if deg < 2 {
 		return 0
 	}
-	if inc.est == HPWL || (inc.est == Steiner && deg <= 3) {
+	switch {
+	case inc.est == HPWL || (inc.est == Steiner && deg <= 3):
 		return (g.xv[deg-1] - g.xv[0]) + (g.yv[deg-1] - g.yv[0])
+	case inc.est == Steiner:
+		return inc.steinerLength(n, g)
 	}
 	return ev.NetLength(n, inc)
+}
+
+// steinerLength is Evaluator.lengthOf's single-trunk Steiner length for a
+// net of at least four pins without its two copy-and-sorts per net: the
+// trunk spans and the median pin coordinates do not depend on pin order,
+// so they come from the sorted multisets, and only the branch sums —
+// floating-point sums whose bits do depend on the order — walk the pins in
+// pin order from the mirror, in the same order with the same comparisons
+// as trunkLength. The result is bitwise Evaluator.NetLength's.
+func (inc *Incremental) steinerLength(n netlist.NetID, g *netGeom) float64 {
+	last := len(g.xv) - 1
+	medX, medY := sortedMedian(g.xv), sortedMedian(g.yv)
+	h := g.xv[last] - g.xv[0] // horizontal trunk: x span + y branches
+	v := g.yv[last] - g.yv[0] // vertical trunk: y span + x branches
+	branch := func(id netlist.CellID) {
+		if y := inc.cy[id]; y > medY {
+			h += y - medY
+		} else {
+			h += medY - y
+		}
+		if x := inc.cx[id]; x > medX {
+			v += x - medX
+		} else {
+			v += medX - x
+		}
+	}
+	net := inc.ckt.Net(n)
+	if net.Driver != netlist.NoCell {
+		branch(net.Driver)
+	}
+	for _, s := range net.Sinks {
+		branch(s)
+	}
+	if v < h {
+		return v
+	}
+	return h
 }
 
 // Built reports whether Rebuild has initialized the state.
@@ -610,13 +666,6 @@ func coSort(vals []float64, cells []netlist.CellID) {
 func resizeFloats(s []float64, n int) []float64 {
 	if cap(s) < n {
 		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-func resizeCells(s []netlist.CellID, n int) []netlist.CellID {
-	if cap(s) < n {
-		return make([]netlist.CellID, n)
 	}
 	return s[:n]
 }

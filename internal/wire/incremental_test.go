@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"simevo/internal/gen"
@@ -457,5 +459,116 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("steady-state cycle allocates %.1f times per run, want 0", avg)
+	}
+}
+
+// checkCachedGeometry asserts the cached per-net state against the mirror:
+// each axis holds exactly the sorted coordinates of the net's pins that
+// are not lifted out, a net keeps prefix sums exactly when hasPrefix says
+// so, and every kept prefix array is bitwise a fresh prefixInto over the
+// sorted values.
+func checkCachedGeometry(t *testing.T, inc *Incremental, step int) {
+	t.Helper()
+	ckt := inc.ckt
+	var xs, ys []float64
+	for n := range inc.geoms {
+		g := &inc.geoms[n]
+		xs, ys = xs[:0], ys[:0]
+		net := ckt.Net(netlist.NetID(n))
+		for _, id := range append([]netlist.CellID{net.Driver}, net.Sinks...) {
+			if !slices.Contains(inc.removed, id) {
+				xs = append(xs, inc.cx[id])
+				ys = append(ys, inc.cy[id])
+			}
+		}
+		slices.Sort(xs)
+		slices.Sort(ys)
+		if !slices.Equal(g.xv, xs) || !slices.Equal(g.yv, ys) {
+			t.Fatalf("est %d step %d net %d: cached %v/%v, mirror %v/%v", inc.est, step, n, g.xv, g.yv, xs, ys)
+		}
+		if keep := inc.hasPrefix(inc.netDegree(netlist.NetID(n))); keep != (g.xp != nil) || keep != (g.yp != nil) {
+			t.Fatalf("est %d step %d net %d (degree %d): prefix kept %v, want %v",
+				inc.est, step, n, inc.netDegree(netlist.NetID(n)), g.xp != nil, keep)
+		}
+		if g.xp == nil {
+			continue
+		}
+		for _, a := range [][3][]float64{{g.xp, g.xv}, {g.yp, g.yv}} {
+			want := prefixInto(nil, a[1])
+			if len(a[0]) != len(want) {
+				t.Fatalf("est %d step %d net %d: prefix length %d, want %d", inc.est, step, n, len(a[0]), len(want))
+			}
+			for i := range want {
+				if math.Float64bits(a[0][i]) != math.Float64bits(want[i]) {
+					t.Fatalf("est %d step %d net %d: prefix[%d] %v, fresh %v", inc.est, step, n, i, a[0][i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestCommittedStateInvariants drives random Sync batches, RemoveCell /
+// PlaceCell pairs and MoveCell edits through the incremental state and,
+// after every operation, holds the cached geometry to the mirror
+// (checkCachedGeometry) and — whenever no cell is lifted out — every
+// committed length to Evaluator.NetLength over the mirror, bitwise.
+func TestCommittedStateInvariants(t *testing.T) {
+	ckt := testCircuit(t, 35)
+	movable := ckt.Movable()
+	for _, est := range allEstimators {
+		place := layout.NewRandom(ckt, 8, rng.New(13))
+		coords := newMutableCoords(ckt, place)
+		inc := NewIncremental(ckt, est)
+		inc.Rebuild(coords)
+		ev := NewEvaluator(ckt, est)
+		r := rng.New(0x1c0)
+		// Thirds: ties stay common, and float sums round, so a sum taken
+		// in another order than the reference's shows in the bits.
+		randPos := func() (float64, float64) { return float64(r.Intn(180)) / 3, float64(r.Intn(36)) / 3 }
+		checkLengths := func(step int) {
+			t.Helper()
+			for n := range inc.geoms {
+				got, want := inc.NetLength(netlist.NetID(n)), ev.NetLength(netlist.NetID(n), inc)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("est %d step %d net %d: committed %v, Evaluator %v", est, step, n, got, want)
+				}
+			}
+		}
+		checkCachedGeometry(t, inc, 0)
+		checkLengths(0)
+		for step := 1; step <= 150; step++ {
+			switch r.Intn(3) {
+			case 0: // a Sync batch, sometimes touching most of the circuit
+				for k := 1 + r.Intn(len(movable)); k > 0; k-- {
+					x, y := randPos()
+					coords.move(movable[r.Intn(len(movable))], x, y)
+				}
+				inc.Sync(coords)
+			case 1: // lift 1-3 cells out, then place or restore them
+				var lifted []netlist.CellID
+				for k := 1 + r.Intn(3); k > 0; k-- {
+					if id := movable[r.Intn(len(movable))]; !slices.Contains(lifted, id) {
+						inc.RemoveCell(id)
+						lifted = append(lifted, id)
+					}
+				}
+				checkCachedGeometry(t, inc, step)
+				for _, id := range lifted {
+					if r.Intn(4) == 0 {
+						inc.RestoreCell(id)
+					} else {
+						x, y := randPos()
+						inc.PlaceCell(id, x, y)
+					}
+				}
+			default: // per-pin MoveCell edits
+				for k := 1 + r.Intn(4); k > 0; k-- {
+					x, y := randPos()
+					inc.MoveCell(movable[r.Intn(len(movable))], x, y)
+				}
+			}
+			checkCachedGeometry(t, inc, step)
+			checkLengths(step)
+		}
 	}
 }

@@ -25,6 +25,15 @@ type floorCase struct {
 
 func (c *floorCase) yOf(row int) float64 { return c.y0 + c.sy*layout.RowY(row) }
 
+// rowYs returns the case's row centerlines, yOf(0..rows-1).
+func (c *floorCase) rowYs(rows int) []float64 {
+	ys := make([]float64, rows)
+	for r := range ys {
+		ys[r] = c.yOf(r)
+	}
+	return ys
+}
+
 // weightProfiles mimic the engine's per-net trial weights for each
 // objective set: wp is 1 + switching activity; wpd adds a timing
 // criticality that can dwarf it; wpc adds a congestion demand score.
@@ -172,6 +181,7 @@ func checkAllocPass(t *testing.T, c *floorCase, est Estimator, netW []float64, r
 	var set TrialSet
 	var nets []netlist.NetID
 	var weights []float64
+	rowY := c.rowYs(rows)
 
 	for own, id := range sel {
 		nets = ckt.CellNets(id, nets[:0])
@@ -181,12 +191,12 @@ func checkAllocPass(t *testing.T, c *floorCase, est Estimator, netW []float64, r
 		}
 		inc.RemoveCell(id)
 		inc.CompileTrials(&set, nets, weights, rows)
-		set.PrepareScan(c.yOf, rows)
+		set.PrepareScan(rowY)
 		for i := range rowOK {
 			rowOK[i] = r.Intn(8) != 0
 		}
 
-		checkItemFloors(t, &set, view, vacs, rows, c.yOf, own)
+		checkItemFloors(t, &set, view, vacs, rowY, own)
 
 		want, wantScore := -1, 0.0
 		for v := range vacs {
@@ -245,7 +255,7 @@ func checkAllocPass(t *testing.T, c *floorCase, est Estimator, netW []float64, r
 // by scanSlack. (The sweeps integrate slopes across rows and breakpoints,
 // so their rounding is only bounded relative to the whole sum — per item
 // they can overshoot a zero cost by an ulp.)
-func checkItemFloors(t *testing.T, set *TrialSet, view *View, vacs []Vacancy, rows int, yOf func(int) float64, own int) {
+func checkItemFloors(t *testing.T, set *TrialSet, view *View, vacs []Vacancy, rowY []float64, own int) {
 	t.Helper()
 	stride := len(set.items) + 1
 	for v, vac := range vacs {
@@ -267,11 +277,12 @@ func checkItemFloors(t *testing.T, set *TrialSet, view *View, vacs []Vacancy, ro
 		it := set.items[i]
 		one := &TrialSet{
 			items:    []compiledTrial{it},
-			yClasses: rows,
-			memo:     make([]float64, 2*rows),
-			filled:   make([]bool, rows),
+			yClasses: len(rowY),
+			memo:     make([]float64, 2*len(rowY)),
+			filled:   make([]uint32, len(rowY)),
+			epoch:    1,
 		}
-		one.PrepareScan(yOf, rows)
+		one.PrepareScan(rowY)
 		for v, vac := range vacs {
 			x, row := vac.X, int(vac.Row)
 			cost := one.Score(view, x, vac.Y, row)

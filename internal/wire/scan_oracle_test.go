@@ -115,7 +115,7 @@ scan:
 				cost += ((hix - lox) + (hiy - loy)) * it.w
 			case trialTrunk:
 				slot := i*t.yClasses + yClass
-				if !t.filled[slot] {
+				if t.filled[slot] != t.epoch {
 					t.fillClass(i, yClass, y)
 				}
 				yBranch, ySpan := t.memo[2*slot], t.memo[2*slot+1]

@@ -36,7 +36,12 @@ type TrialSet struct {
 	items    []compiledTrial
 	yClasses int
 	memo     []float64 // per (item, class): [ySpanExt|0, yBranch|ySpanExt]
-	filled   []bool    // per (item, class)
+	// filled (per (item, class)) and rowReady (per row) hold the epoch of
+	// the compile that filled the entry: CompileTrials bumps epoch, which
+	// invalidates every memo entry and suffix column at once instead of
+	// clearing O(items·rows) flags per cell.
+	filled []uint32
+	epoch  uint32
 
 	// Row-sharded scan state (PrepareScan). rowTail[r*stride + i] lower-
 	// bounds the weighted cost of items i.. for ANY candidate in row r,
@@ -65,7 +70,7 @@ type TrialSet struct {
 	// their suffix column is ever needed, and the chunked parallel scan
 	// partitions rows, so the lazy fill touches disjoint memory per worker.
 	rowTail  []float64
-	rowReady []bool
+	rowReady []uint32
 	// rowLB[r] = C + Σ w_j · yPen_j(y_r), the whole-trial lower bound at
 	// row r's centerline, with C = Σ w_j · compiledTrial.floor() — the
 	// stored half-perimeters plus, for trunk items, min(dX, dY): a trunk
@@ -124,8 +129,9 @@ type TrialSet struct {
 	// Per-cell envelope constants (buildEnvelope) that spare the walks
 	// their binary searches: anchorSeg = envSeg(anchorX) seeds both in-row
 	// segment cursors (the right walk starts at x ≥ anchorX, the left one
-	// below it), and xlbCut = xLB(xCutLo) is the envelope minimum every row
-	// whose x range contains xCutLo shares.
+	// below it), and xlbCut = xLB(xCutLo) is the envelope minimum (0 without
+	// prune bounds): every row whose x range contains xCutLo attains it, and
+	// no candidate anywhere pays less x penalty.
 	anchorSeg int
 	xlbCut    float64
 }
@@ -279,6 +285,13 @@ func branchFloor(v, p []float64, mag float64) float64 {
 // mutation of the incremental state.
 func (inc *Incremental) CompileTrials(dst *TrialSet, nets []netlist.NetID, weights []float64, yClasses int) {
 	dst.items = dst.items[:0]
+	dst.epoch++
+	if dst.epoch == 0 {
+		// The stamps wrapped: clear them so no stale entry matches.
+		clear(dst.filled)
+		clear(dst.rowReady)
+		dst.epoch = 1
+	}
 	for i, n := range nets {
 		g := &inc.geoms[n]
 		it := compiledTrial{w: weights[i], net: n}
@@ -333,35 +346,34 @@ func (inc *Incremental) CompileTrials(dst *TrialSet, nets []netlist.NetID, weigh
 		}
 		dst.memo = dst.memo[:2*n]
 		if cap(dst.filled) < n {
-			dst.filled = make([]bool, n)
+			dst.filled = make([]uint32, n)
 		}
 		dst.filled = dst.filled[:n]
-		for i := range dst.filled {
-			dst.filled[i] = false
-		}
 	}
 }
 
 // PrepareScan computes the row-sharded prune state ScanBestRows consumes:
-// the per-row suffix bounds rowTail (see the field comment) and the
-// leading-item anchor/x-interval. yOf maps a row to its centerline y and
-// must reproduce the candidates' y bit for bit (the engine passes
-// layout.RowY); rows must cover every candidate row. O(items·rows) — noise
-// against the O(items·vacancies) scan it accelerates. Call after
-// CompileTrials and before any ScanBestRows. Apart from the lazily filled
-// per-row columns (disjoint per row), the state is read-only during scans,
-// so concurrent row-chunked scanning needs no further setup.
-func (t *TrialSet) PrepareScan(yOf func(class int) float64, rows int) {
+// the per-row bounds rowLB, the lazily filled suffix bounds rowTail (see
+// the field comment) and the leading-item anchor/x-interval. rowY holds
+// every candidate row's centerline y, bit for bit the candidates' y (the
+// engine builds it from layout.RowY); the set keeps the slice, which must
+// stay unchanged while the set is in use. O(items + rows) plus the row
+// columns the scan fills — noise against the O(items·vacancies) scan it
+// accelerates. Call once after each CompileTrials and before any
+// ScanBestRows. Apart from the lazily filled per-row columns (disjoint per
+// row), the state is read-only during scans, so concurrent row-chunked
+// scanning needs no further setup.
+func (t *TrialSet) PrepareScan(rowY []float64) {
+	rows := len(rowY)
 	stride := len(t.items) + 1
 	t.rowTail = resizeFloats(t.rowTail, rows*stride)
-	t.rowReady = resizeBools(t.rowReady, rows)
-	t.rowLB = resizeFloats(t.rowLB, rows)
-	t.rowY = resizeFloats(t.rowY, rows)
-	t.scanRows = rows
-	for r := 0; r < rows; r++ {
-		t.rowReady[r] = false
-		t.rowY[r] = yOf(r)
+	if cap(t.rowReady) < rows {
+		t.rowReady = make([]uint32, rows)
 	}
+	t.rowReady = t.rowReady[:rows]
+	t.rowLB = resizeFloats(t.rowLB, rows)
+	t.rowY = rowY
+	t.scanRows = rows
 
 	// Compile the x-penalty envelope, the walk anchor, and the constant
 	// part C = Σ w_j · floor_j of the per-row bound (see rowLB).
@@ -385,9 +397,8 @@ func (t *TrialSet) PrepareScan(yOf func(class int) float64, rows int) {
 	if !t.hasPrune {
 		t.xCutLo, t.xCutHi = math.Inf(-1), math.Inf(1)
 		t.yCutLo, t.yCutHi = math.Inf(-1), math.Inf(1)
-		for r := 0; r < rows; r++ {
-			t.rowLB[r] = 0
-		}
+		t.xlbCut = 0
+		clear(t.rowLB)
 		t.anchorRow = 0
 		return
 	}
@@ -586,7 +597,7 @@ func (t *TrialSet) envAt(seg int, x float64) float64 {
 // workers, so each column (and its ready bit) is touched by exactly one
 // goroutine.
 func (t *TrialSet) ensureRowTail(row int) {
-	if t.rowReady[row] {
+	if t.rowReady[row] == t.epoch {
 		return
 	}
 	y := t.rowY[row]
@@ -613,7 +624,7 @@ func (t *TrialSet) ensureRowTail(row int) {
 			acc += ((it.maxX - it.minX) + (it.maxY - it.minY) + yPen) * it.w
 		case trialTrunk:
 			slot := i*t.yClasses + row
-			if !t.filled[slot] {
+			if t.filled[slot] != t.epoch {
 				t.fillClass(i, row, y)
 			}
 			yMin := t.memo[2*slot] // y branch total (horizontal trunk)
@@ -624,7 +635,7 @@ func (t *TrialSet) ensureRowTail(row int) {
 		}
 		t.rowTail[base+i] = acc
 	}
-	t.rowReady[row] = true
+	t.rowReady[row] = t.epoch
 }
 
 func (t *TrialSet) fillClass(i, class int, y float64) {
@@ -660,7 +671,7 @@ func (t *TrialSet) fillClass(i, class int, y float64) {
 		hiy = y
 	}
 	t.memo[2*slot+1] = hiy - loy // vertical trunk: along-y span
-	t.filled[slot] = true
+	t.filled[slot] = t.epoch
 }
 
 // Score returns the weighted trial cost of placing the compiled cell at
@@ -706,7 +717,7 @@ func (t *TrialSet) ScoreBounded(view *View, x, y float64, yClass int, bound floa
 			var yBranch, ySpan float64
 			if memo {
 				slot := i*t.yClasses + yClass
-				if !t.filled[slot] {
+				if t.filled[slot] != t.epoch {
 					t.fillClass(i, yClass, y)
 				}
 				yBranch, ySpan = t.memo[2*slot], t.memo[2*slot+1]
@@ -891,11 +902,12 @@ func (t *TrialSet) ScanBestRows(view *View, vacs []Vacancy, bk *VacancyBuckets,
 
 // walkRows iterates rows from r toward end (exclusive) in steps of dir —
 // outward from the anchor row, so the bound tightens on the most promising
-// rows first. Rows whose rowLB (or rowLB plus the row's best-case x
-// penalty) already reaches the bound are skipped wholesale; when the rowLB
-// skip fires at a centerline beyond the y cut interval, every remaining
-// row in the walk direction is dominated too (the y envelope is
-// nondecreasing outward) and the whole direction is cut.
+// rows first. Rows whose rowLB plus the envelope minimum xlbCut (or plus
+// the row's own best-case x penalty) already reaches the bound are skipped
+// wholesale; when the rowLB + xlbCut skip fires at a centerline beyond the
+// y cut interval, every remaining row in the walk direction is dominated
+// too (the y envelope is nondecreasing outward, and xlbCut lower-bounds the
+// x penalty anywhere) and the whole direction is cut.
 func (t *TrialSet) walkRows(c *rowScan, rowOK []bool, r, end, dir int) {
 	bk, st := c.bk, c.st
 	for ; r != end; r += dir {
@@ -904,7 +916,7 @@ func (t *TrialSet) walkRows(c *rowScan, rowOK []bool, r, end, dir int) {
 			continue
 		}
 		st.RowsVisited++
-		if t.rowLB[r]*scanSlack >= c.bound {
+		if (t.rowLB[r]+t.xlbCut)*scanSlack >= c.bound {
 			st.SkippedBucket += liveN
 			y := t.rowY[r]
 			if (dir > 0 && y >= t.yCutHi) || (dir < 0 && y <= t.yCutLo) {
@@ -1031,7 +1043,7 @@ walk:
 				cost += ((hix - lox) + (hiy - loy)) * it.w
 			case trialTrunk:
 				slot := i*t.yClasses + row
-				if !t.filled[slot] {
+				if t.filled[slot] != t.epoch {
 					t.fillClass(i, row, y)
 				}
 				yBranch, ySpan := t.memo[2*slot], t.memo[2*slot+1]

@@ -296,6 +296,12 @@ func median(v []float64, scratch *[]float64) float64 {
 	s := (*scratch)[:len(v)]
 	copy(s, v)
 	slices.Sort(s) // non-reflective pdqsort; scratch is reused across calls
+	return sortedMedian(s)
+}
+
+// sortedMedian returns the median of the ascending values s (len >= 1):
+// the middle value, or the mean of the two middle values.
+func sortedMedian(s []float64) float64 {
 	n := len(s)
 	if n%2 == 1 {
 		return s[n/2]
